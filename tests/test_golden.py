@@ -1,0 +1,80 @@
+"""Golden simulation results, pinned as sha256 digests.
+
+Any change to the simulator must leave every simulated result of these
+runs byte-identical; a digest mismatch means behaviour moved. The digests
+cover the paper's compare grid (six presets, three policies, k in
+{0, 5, 20} with ``derive_seed`` cell seeds) and a single-outage sweep of a
+parallel program in which two trackers run at once.
+"""
+
+import hashlib
+import json
+
+from dftsim import benchgen, powersim, transform
+from dftsim.program import ScheduledProgram
+
+BASE_SEED = 7
+KS = (0, 5, 20)
+
+GRID_DIGEST = "b73009773e311f151e70a637d8c7d98d20fa5a8bc415c9eda7050013ac75128f"
+SWEEP_DIGEST = "34cdc539736718320d42620f20ca93a9800808a6cf0765095a857c047e9b5e3c"
+
+
+def report_row(report, k):
+    return [report.policy, k, report.trace.seed, report.total_rollback,
+            list(report.per_outage_rollback), report.ff_stores,
+            report.slice_store_events, report.store_cost_cycles,
+            report.wall_progress_cycles, report.bram_count,
+            sorted(report.final_state.items())]
+
+
+def digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(json.dumps(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def two_chain_program():
+    a = benchgen.generate(benchgen.random_small_shape(3))
+    b = benchgen.generate(benchgen.random_small_shape(4))
+    return ScheduledProgram(functions=a.functions + b.functions,
+                            dependencies=a.dependencies + b.dependencies,
+                            default_inputs={**a.default_inputs, **b.default_inputs})
+
+
+def grid_rows():
+    rows = []
+    for name in benchgen.PRESETS:
+        prep = powersim.prepare(transform.normalize(benchgen.preset_program(name)))
+        for pol in powersim.POLICY_NAMES:
+            for k in KS:
+                seed = powersim.derive_seed(BASE_SEED, name, pol, k, 0)
+                trace = powersim.gen_trace(prep.total_cycles, k, seed)
+                report = powersim.run(prep.program, powersim.Policy(pol), trace,
+                                      prepared=prep)
+                assert report.consistent, (name, pol, k)
+                rows.append([name] + report_row(report, k))
+    return rows
+
+
+def sweep_rows():
+    prep = powersim.prepare(transform.normalize(two_chain_program()))
+    rows = []
+    for point in range(prep.total_cycles):
+        trace = powersim.PowerTrace(points=(point,), seed=point,
+                                    total_cycles=prep.total_cycles)
+        for pol in powersim.POLICY_NAMES:
+            report = powersim.run(prep.program, powersim.Policy(pol), trace,
+                                  prepared=prep)
+            assert report.consistent, (pol, point)
+            rows.append(report_row(report, 1))
+    return rows
+
+
+def test_paper_grid_golden():
+    assert digest(grid_rows()) == GRID_DIGEST
+
+
+def test_two_chain_sweep_golden():
+    assert digest(sweep_rows()) == SWEEP_DIGEST
