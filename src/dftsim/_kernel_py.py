@@ -1,7 +1,9 @@
 """Pure-Python cycle-stepping kernel.
 
-Fallback implementation of the hot loop; semantics must match the compiled
-kernel in ``_kernel.pyx`` exactly (see tests/test_kernel.py).
+Steps the partial iterations at the head and tail of a span (whole
+iterations run in code generated per region, see ``engine``). Fallback
+for the compiled kernel in ``_kernel.pyx``; semantics must match it
+exactly (see tests/test_kernel.py).
 
 Opcode encoding shared with the compiled kernel:
     0 const, 1 pass, 2 add, 3 sub, 4 mul, 5 xor

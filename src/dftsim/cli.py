@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import benchgen, powersim, transform
 from .control_unit import bram_usage, serialize_table
 from .liveness import TRACKED
-from .program import ParseError, ProgramError, parse_program, serialize_program, validate
+from .program import ProgramError, parse_program, serialize_program, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -175,12 +175,7 @@ def cmd_simulate(args) -> int:
     lo, hi = _parse_outages(args.outages)
     if lo != hi:
         raise ConfigError("simulate takes a single outage count")
-    try:
-        program, prep = _prepare_source(source, _parse_grid(args.grid),
-                                        args.ffs_per_slice)
-    except (ParseError, ProgramError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
+    program, prep = _prepare_source(source, _parse_grid(args.grid), args.ffs_per_slice)
     trace = powersim.gen_trace(prep.total_cycles, lo, args.seed)
     report = powersim.run(program, powersim.Policy(policies[0]), trace, prepared=prep)
     doc = {
@@ -231,18 +226,11 @@ def cmd_compare(args) -> int:
 
     jobs = [(name, source, pol, k, args.rounds, args.seed, grid, args.ffs_per_slice)
             for name, source in sources for pol in policies for k in ks]
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_run_cell, jobs))
-        else:
-            results = [_run_cell(j) for j in jobs]
-    except powersim.ConsistencyError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONSISTENCY
-    except (ParseError, ProgramError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_run_cell, jobs))
+    else:
+        results = [_run_cell(j) for j in jobs]
 
     by_key = {(r[0], r[1], r[2]): r for r in results}
     header = ["benchmark", "policy", "k", "mean", "stddev", "rounds", "seed"]
@@ -314,7 +302,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except ParseError as exc:
+    except powersim.ConsistencyError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_CONSISTENCY
+    except ProgramError as exc:  # parse errors, split breaks, invalid programs
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,9 +1,15 @@
 """Execution engine: compiles regions to flat arrays and steps body cycles.
 
-The hot loop lives in a compiled extension when available; a pure-Python
-kernel with identical semantics is selected at import time otherwise.
-Set ``DFTSIM_PURE_PYTHON=1`` to force the fallback (used by the kernel
-benchmark and the equivalence tests).
+``CompiledRegion.run`` steps any span of a region's unrolled iterations in
+one call. Whole iterations run in a straight-line Python function
+generated for the region on its first use: registers live in locals,
+every op latching in a cycle is computed before any of them is written
+back, and the width masks are folded into constants. Partial iterations
+at the head and tail of a span go through the cycle-stepping kernel,
+which lives in a compiled extension when available; a pure-Python kernel
+with identical semantics is selected at import time otherwise. Set
+``DFTSIM_PURE_PYTHON=1`` to force the fallback. tests/test_kernel.py
+checks both paths against the dict interpreter ``program._interp_region``.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class CompiledRegion:
 
     __slots__ = (
         "body_length", "iterations", "n_ops",
-        "ptr", "opc", "a", "b", "out", "imm", "mask", "scratch",
+        "ptr", "opc", "a", "b", "out", "imm", "mask", "scratch", "_iterate",
     )
 
     def __init__(self, ops, body_length: int, iterations: int,
@@ -83,11 +89,73 @@ class CompiledRegion:
         self.imm = imm
         self.mask = mask
         self.scratch = np.zeros(max(1, max_group), dtype=np.uint64)
+        self._iterate = None
 
     def run(self, regs: np.ndarray, c_lo: int, c_hi: int) -> None:
-        """Latch all ops ending in [c_lo, c_hi) against ``regs``."""
+        """Latch all ops ending in cycles [c_lo, c_hi) against ``regs``.
+
+        ``c_lo`` is a body cycle in [0, body_length). ``c_hi`` may pass
+        ``body_length``: cycle ``c`` of the span is then body cycle
+        ``c % body_length`` of a later iteration.
+        """
+        L = self.body_length
+        if c_lo:
+            self._cycles(regs, c_lo, min(c_hi, L))
+            if c_hi <= L:
+                return
+            c_hi -= L
+        full, tail = divmod(c_hi, L)
+        if full:
+            if self._iterate is None:
+                self._iterate = self._generate()
+            self._iterate(regs, full)
+        if tail:
+            self._cycles(regs, 0, tail)
+
+    def _cycles(self, regs: np.ndarray, c_lo: int, c_hi: int) -> None:
         _impl.run_cycles(self.ptr, self.opc, self.a, self.b, self.out,
                          self.imm, self.mask, regs, self.scratch, c_lo, c_hi)
+
+    def _generate(self):
+        """Compile ``iterate(regs, n)``, which runs n whole iterations.
+
+        Each cycle's latch group becomes one tuple assignment, so every
+        right-hand side reads the pre-edge values.
+        """
+        ptr, opc, a, b, out, imm, mask = (
+            arr.tolist() for arr in (self.ptr, self.opc, self.a, self.b,
+                                     self.out, self.imm, self.mask))
+        reads = sorted({r for r in a + b if r >= 0})
+        lines = ["def iterate(regs, n):"]
+        lines += [f"    r{i} = int(regs[{i}])" for i in reads]
+        lines.append("    for _ in range(n):")
+        for c in range(self.body_length):
+            group = range(ptr[c], ptr[c + 1])
+            if not group:
+                continue
+            targets = ", ".join(f"r{out[i]}" for i in group)
+            values = ", ".join(
+                _EXPR[opc[i]].format(a=a[i], b=b[i], m=mask[i], k=imm[i] & mask[i])
+                for i in group)
+            lines.append(f"        {targets} = {values}")
+        if not self.n_ops:
+            lines.append("        pass")
+        lines += [f"    regs[{i}] = r{i}" for i in sorted(set(out))]
+        namespace: Dict[str, object] = {}
+        exec("\n".join(lines), namespace)
+        return namespace["iterate"]
+
+
+# Value of each opcode with the output mask folded in; the mask is at most
+# 32 bits, so it subsumes the 32-bit wrap.
+_EXPR = {
+    0: "{k}",
+    1: "r{a} & {m}",
+    2: "(r{a} + r{b}) & {m}",
+    3: "(r{a} - r{b}) & {m}",
+    4: "(r{a} * r{b}) & {m}",
+    5: "(r{a} ^ r{b}) & {m}",
+}
 
 
 class CompiledProgram:

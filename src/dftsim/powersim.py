@@ -1,10 +1,22 @@
 """Intermittent-power execution under three store/restore policies.
 
 Outages are injected at progress points: a point p fires at the boundary
-where p progress cycles have completed for the first time. Roll-back
-rewinds the progress position, so a re-execution never re-fires an
-already-fired point, and every run terminates after exactly the traced
-number of outages.
+where p progress cycles have completed for the first time. Progress is
+the makespan less the longest dependency path of work still to do, so it
+grows by one per cycle of uninterrupted execution and reaches the
+makespan exactly when the program ends. Roll-back rewinds it by as much
+as the roll-back lengthens that path (in a chain, by the roll-back), so
+a re-execution never re-fires an already-fired point, and every run
+terminates after exactly the traced number of outages.
+
+The scheduler steps from event to event. Trackers are checked for a start
+once at the beginning of the run and afterwards only when a predecessor
+completes. A segment lasts until a running function completes or the
+next outage point comes, and each running region steps through the whole
+segment in one engine call. Running regions never depend on each other
+(a function starts only after all of its predecessors are done), so
+stepping them one after another gives the same registers as stepping
+them cycle by cycle together.
 
 Policies:
 
@@ -132,6 +144,11 @@ class Prepared:
     total_cycles: int
     result_ffs: Dict[str, int]
     bound_regs: frozenset      # externally provided (non-volatile input buffer)
+    order: Tuple[str, ...]                  # topological order
+    preds: Dict[str, Tuple[str, ...]]
+    succs: Dict[str, Tuple[str, ...]]
+    written: Dict[str, Tuple[str, ...]]     # registers each function writes
+    after: Dict[str, int]      # longest dependency path of work after a function
 
 
 def makespan(program: ScheduledProgram) -> int:
@@ -165,13 +182,21 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
         for f in program.functions
     }
     bound = set(program.default_inputs) | set(config.inputs)
+    order = tuple(program.topo_order())
+    succs = {fid: program.successors(fid) for fid in regions}
+    after: Dict[str, int] = {}
+    for fid in reversed(order):
+        after[fid] = max((after[s] + regions[s].iterations * regions[s].body_length
+                          for s in succs[fid]), default=0)
     return Prepared(
         program=program, config=config, resources=resources, specs=specs,
         live_tables=live_tables, placement=placement, table=table,
         compiled=compile_program(program), regions=regions,
         reference=execute_reference(program, config.inputs),
         total_cycles=makespan(program), result_ffs=result_ffs,
-        bound_regs=frozenset(bound))
+        bound_regs=frozenset(bound), order=order,
+        preds={fid: program.predecessors(fid) for fid in regions}, succs=succs,
+        written={fid: r.written_regs() for fid, r in regions.items()}, after=after)
 
 
 def gen_trace(total_cycles: int, outages: int, seed: int) -> PowerTrace:
@@ -201,10 +226,9 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
     reg_index = prep.compiled.reg_index
     reg_widths = prep.compiled.widths
 
-    preds = {f.id: program.predecessors(f.id) for f in program.functions}
-    order = program.topo_order()
-    written_of = {f.id: tuple(op.output for op in f.region.ops)
-                  for f in program.functions}
+    preds = prep.preds
+    written_of = prep.written
+    kernels = prep.compiled.regions
 
     def clobber(reg_ids: Iterable[str]) -> None:
         """Lose registers outside the stored set.
@@ -225,6 +249,12 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
     store_cost = 0
     outages: List[OutageRecord] = []
     grid_slices = cfg.grid[0] * cfg.grid[1]
+    # Only a completion can let an idle tracker start, and only its
+    # successors' head locks change then; a start waits for any outage
+    # at the completion point to be handled first. The longest path of
+    # work still to do starts at a running function or at a candidate.
+    candidates: Sequence[str] = prep.order
+    running: List[str] = []
 
     while True:
         if pending and pending[0] == position:
@@ -272,35 +302,42 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
             slice_events += slices_here
             outages.append(OutageRecord(point=point, rollback=rollback,
                                         ff_stored=ff_here, slices_stored=slices_here))
-            position -= rollback
+            rest = [trackers[fid].remaining + prep.after[fid]
+                    for fid in (*running, *candidates)]
+            position = prep.total_cycles - max(rest)
             continue
 
-        for fid in order:
+        for fid in candidates:
             tr = trackers[fid]
             if tr.phase == trk.IDLE and trk.can_start(
                     tr, [trackers[p].lock_tail for p in preds[fid]]):
                 tr.start()
-        running = [fid for fid in order if trackers[fid].phase == trk.RUNNING]
+                running.append(fid)
+        candidates = ()
         if not running:
             if all(tr.phase == trk.DONE for tr in trackers.values()):
                 break
             raise ProgramError("simulation stalled: unstartable functions remain")
 
-        seg = min(trackers[fid].body_length - trackers[fid].count for fid in running)
+        seg = min(trackers[fid].remaining for fid in running)
         if pending:
             seg = min(seg, pending[0] - position)
         for fid in running:
-            c0 = trackers[fid].count
-            prep.compiled.regions[fid].run(regs, c0, c0 + seg)
+            tr = trackers[fid]
+            kernels[fid].run(regs, tr.count, tr.count + seg)
+            tr.advance(seg)
         position += seg
         wall += seg
-        for fid in running:
-            tr = trackers[fid]
-            tr.advance(seg)
-            if tr.phase == trk.DONE and policy.name == CP:
+        finished = [fid for fid in running if trackers[fid].phase == trk.DONE]
+        if finished:
+            running = [fid for fid in running if fid not in finished]
+            candidates = tuple(dict.fromkeys(
+                s for fid in finished for s in prep.succs[fid]))
+            if policy.name == CP:
                 # checkpoint fires at every completion, power or not
-                ff_stores += prep.result_ffs[fid]
-                store_cost += len(program.function(fid).result_regs) * policy.per_word_cost
+                for fid in finished:
+                    ff_stores += prep.result_ffs[fid]
+                    store_cost += len(program.function(fid).result_regs) * policy.per_word_cost
 
     final = {reg: int(regs[reg_index[reg]])
              for reg in sorted(program.all_result_regs())}
@@ -363,7 +400,8 @@ def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
 
     Every cell is reproducible standalone: its trace seed comes from
     ``derive_seed`` and nothing else. Raises ConsistencyError if any run
-    diverges from the reference execution.
+    diverges from the reference execution, naming the first diverging
+    register in sorted order, both values and the trace seed.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -379,9 +417,15 @@ def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
                 trace = gen_trace(prep.total_cycles, k, seed)
                 report = run(program, pol, trace, prepared=prep)
                 if not report.consistent:
+                    got, want = report.final_state, report.reference_state
+                    reg = min(x for x in got.keys() | want.keys()
+                              if got.get(x) != want.get(x))
                     raise ConsistencyError(
                         f"{benchmark}/{pol.name}/k={k}/round={r}: final state "
-                        f"diverged from reference")
+                        f"diverged from reference at {reg}: expected "
+                        f"{want.get(reg)}, got {got.get(reg)} (trace seed {seed}; "
+                        f"reproduce with simulate --policy {pol.name} "
+                        f"--outages {k} --seed {seed})")
                 seeds.append(seed)
                 rollbacks.append(report.total_rollback)
                 ffs.append(report.ff_stores)

@@ -462,9 +462,12 @@ def validate(program: ScheduledProgram) -> List[Violation]:
 # ---------------------------------------------------------------------------
 
 def _interp_region(region: Region, regs: Dict[str, int], widths: Mapping[str, int]) -> None:
-    """Dict-based region interpreter (raw-program path)."""
+    """Dict-based region interpreter: the reference evaluator."""
     for reg in region.live_in:
         if reg not in regs:
+            if region.writer_end(reg) is not None:
+                raise UnboundLiveInError(
+                    f"loop-carried register {reg} has no initial value")
             raise UnboundLiveInError(f"live-in register {reg} is unbound")
     by_end: Dict[int, List[Operation]] = {}
     for op in region.ops:
@@ -534,9 +537,10 @@ def compile_program(program: ScheduledProgram) -> engine.CompiledProgram:
     return cp
 
 
-def _raw_reference(program: ScheduledProgram, regs: Dict[str, int]) -> None:
-    """Sequential interpretation of a raw program (main order, regions in order)."""
-    widths = _widths_map(program)
+def _interp_program(program: ScheduledProgram, regs: Dict[str, int],
+                   widths: Mapping[str, int]) -> None:
+    """Sequential interpretation: main order, then the remaining functions
+    in topological order, regions in order."""
     ran = set()
 
     def run_function(fid: str) -> None:
@@ -544,23 +548,19 @@ def _raw_reference(program: ScheduledProgram, regs: Dict[str, int]) -> None:
             _interp_region(region, regs, widths)
         ran.add(fid)
 
-    if program.main_sequence:
-        pending_run: List[Operation] = []
-        for tag, x in program.main_sequence:
-            if tag == "op":
-                pending_run.append(x)
-                continue
-            if pending_run:
-                _run_loose(pending_run, regs, widths)
-                pending_run = []
-            run_function(x)
+    pending_run: List[Operation] = []
+    for tag, x in program.main_sequence:
+        if tag == "op":
+            pending_run.append(x)
+            continue
         if pending_run:
             _run_loose(pending_run, regs, widths)
-        for fid in program.topo_order():
-            if fid not in ran:
-                run_function(fid)
-    else:
-        for fid in program.topo_order():
+            pending_run = []
+        run_function(x)
+    if pending_run:
+        _run_loose(pending_run, regs, widths)
+    for fid in program.topo_order():
+        if fid not in ran:
             run_function(fid)
 
 
@@ -578,38 +578,20 @@ def execute_reference(program: ScheduledProgram,
     """Run every function to completion with no outages.
 
     Returns the FinalState: values of all result registers. Deterministic
-    for a fixed program and inputs. Raw programs (main sequence or
-    multi-region functions) take a dict-interpreter path that is
-    independent of the array engine, so transform equivalence tests compare
-    two genuinely distinct evaluators.
+    for a fixed program and inputs. Raw and normalized programs alike are
+    stepped by the dict interpreter ``_interp_region``, which shares no
+    code with the array engine, so every consistency check of a simulated
+    run also tests the engine, and transform equivalence tests compare the
+    programs before and after a rewrite. Bound inputs are masked to their
+    declared widths, as ``CompiledProgram.new_regfile`` does.
     """
     bound = dict(program.default_inputs)
     if inputs:
         bound.update(inputs)
-
-    if not program.is_normalized:
-        regs: Dict[str, int] = {k: v & U32 for k, v in bound.items()}
-        _raw_reference(program, regs)
-        return {reg: regs[reg] for reg in sorted(program.all_result_regs())}
-
-    cp = compile_program(program)
-    regfile = cp.new_regfile(bound)
-    defined = set(bound)
-    for fid in program.topo_order():
-        f = program.function(fid)
-        r = f.region
-        for reg in r.live_in:
-            if reg not in defined and r.writer_end(reg) is None:
-                raise UnboundLiveInError(f"live-in register {reg} of {fid} is unbound")
-            if reg not in defined:
-                # written only by this function: first-iteration value must be bound
-                raise UnboundLiveInError(f"loop-carried register {reg} of {fid} has no initial value")
-        region = cp.regions[fid]
-        for _ in range(r.iterations):
-            region.run(regfile, 0, r.body_length)
-        defined |= set(r.written_regs())
-    idx = cp.reg_index
-    return {reg: int(regfile[idx[reg]]) for reg in sorted(program.all_result_regs())}
+    widths = _widths_map(program)
+    regs = {reg: v & ((1 << widths.get(reg, 32)) - 1) for reg, v in bound.items()}
+    _interp_program(program, regs, widths)
+    return {reg: regs[reg] for reg in sorted(program.all_result_regs())}
 
 
 def normalized_copy(program: ScheduledProgram, functions: Iterable[FunctionSchedule],

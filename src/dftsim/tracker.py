@@ -53,6 +53,11 @@ class TrackerState:
         """Completed body cycles since start."""
         return self.iter_ * self.body_length + self.count
 
+    @property
+    def remaining(self) -> int:
+        """Body cycles left until the function completes."""
+        return self.spec.max_cycles - self.elapsed
+
     def start(self) -> None:
         if self.phase != IDLE:
             raise TrackerContractError(f"start on {self.phase} tracker {self.spec.function_id}")

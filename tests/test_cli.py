@@ -64,3 +64,22 @@ def test_dependency_cycle_exits_validation(tmp_path, capsys):
     code = cli.main(["analyze", "--program", str(path), "--out", str(tmp_path)])
     assert code == cli.EXIT_VALIDATION
     assert "dependencies: dependency cycle" in capsys.readouterr().err
+
+
+def test_split_dataflow_break_exits_validation(tmp_path, capsys):
+    # region 0 reads `late`, which only region 1 writes: validate accepts the
+    # raw function, normalize cannot split it
+    first = Region(kind="straight", iterations=1, body_length=1, live_in=("late",),
+                   ops=(Operation(id="o1", opcode="pass", inputs=("late",),
+                                  output="y", start=0, end=0),))
+    second = Region(kind="straight", iterations=1, body_length=1,
+                    ops=(Operation(id="o2", opcode="const", inputs=(), output="late",
+                                   start=0, end=0, value=3),))
+    f = FunctionSchedule(id="bad", regions=(first, second), result_regs=frozenset(["y"]))
+    path = tmp_path / "bad.json"
+    path.write_text(serialize_program(ScheduledProgram(functions=(f,), dependencies=())))
+    for command in ("analyze", "simulate", "compare"):
+        code = cli.main([command, "--program", str(path), "--out", str(tmp_path),
+                         "--rounds", "1"])
+        assert code == cli.EXIT_VALIDATION, command
+        assert "split dataflow break" in capsys.readouterr().err, command

@@ -1,0 +1,156 @@
+"""Intermittent runs: fork/join crash consistency, the event-driven
+scheduler, and consistency-failure reports."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from dftsim import benchgen, powersim, tracker as trk
+from dftsim.program import (
+    FunctionSchedule,
+    Operation,
+    Region,
+    ScheduledProgram,
+    execute_reference,
+    validate,
+)
+
+POLICIES = [powersim.Policy(name) for name in powersim.POLICY_NAMES]
+
+
+def op(oid, opcode, inputs, output, start, end, value=0):
+    return Operation(id=oid, opcode=opcode, inputs=tuple(inputs), output=output,
+                     start=start, end=end, value=value)
+
+
+def fn(fid, kind, iterations, length, ops, live_in, results):
+    region = Region(kind=kind, iterations=iterations, body_length=length,
+                    live_in=tuple(live_in), ops=tuple(ops))
+    return FunctionSchedule(id=fid, regions=(region,), result_regs=frozenset(results))
+
+
+def fork_join_program():
+    """A -> {B, C} -> D: B and C run at once, for different lengths, and D
+    reads the results of both."""
+    a = fn("A", "loop", 2, 4,
+           [op("a0", "add", ["x", "y"], "a1", 0, 1),
+            op("a1", "mul", ["a1", "x"], "a2", 2, 2),
+            op("a2", "add", ["aacc", "a2"], "aacc", 3, 3)],
+           ["x", "y", "aacc"], ["a1", "aacc"])
+    b = fn("B", "loop", 3, 5,
+           [op("b0", "xor", ["a1", "bacc"], "b1", 0, 2),
+            op("b1", "sub", ["b1", "a1"], "b2", 3, 3),
+            op("b2", "add", ["bacc", "b2"], "bacc", 4, 4)],
+           ["a1", "bacc"], ["bacc", "b2"])
+    c = fn("C", "straight", 1, 9,
+           [op("c0", "mul", ["aacc", "aacc"], "c1", 0, 3),
+            op("c1", "const", [], "c2", 2, 2, value=0x9E3779B9),
+            op("c2", "add", ["c1", "c2"], "c3", 4, 7),
+            op("c3", "sub", ["c3", "aacc"], "c4", 8, 8)],
+           ["aacc"], ["c4"])
+    d = fn("D", "loop", 2, 4,
+           [op("d0", "add", ["bacc", "c4"], "d1", 0, 0),
+            op("d1", "xor", ["d1", "b2"], "d2", 1, 2),
+            op("d2", "add", ["dacc", "d2"], "dacc", 3, 3)],
+           ["bacc", "c4", "b2", "dacc"], ["dacc", "d2"])
+    return ScheduledProgram(
+        functions=(a, b, c, d),
+        dependencies=(("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")),
+        default_inputs={"x": 0xDEAD, "y": 0xBEEF, "aacc": 3, "bacc": 5, "dacc": 7})
+
+
+@pytest.fixture(scope="module")
+def fork_join():
+    program = fork_join_program()
+    assert validate(program) == []
+    return powersim.prepare(program)
+
+
+def test_fork_join_shape(fork_join):
+    # B (15 cycles) and C (9 cycles) overlap, so the longer one sets the pace
+    assert fork_join.total_cycles == 8 + 15 + 8
+    assert fork_join.succs["A"] == ("B", "C")
+    assert fork_join.preds["D"] == ("B", "C")
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+def test_fork_join_uninterrupted(fork_join, policy):
+    trace = powersim.gen_trace(fork_join.total_cycles, 0, 0)
+    report = powersim.run(fork_join.program, policy, trace, prepared=fork_join)
+    assert report.final_state == execute_reference(fork_join.program)
+    assert report.wall_progress_cycles == powersim.makespan(fork_join.program)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+def test_fork_join_single_outage_sweep(fork_join, policy):
+    reference = execute_reference(fork_join.program)
+    for point in range(fork_join.total_cycles):
+        trace = powersim.PowerTrace(points=(point,), seed=point,
+                                    total_cycles=fork_join.total_cycles)
+        report = powersim.run(fork_join.program, policy, trace, prepared=fork_join)
+        assert len(report.outages) == 1
+        assert report.final_state == reference, (policy.name, point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(POLICIES), st.integers(0, 20), st.integers(0, 2**32))
+@example(POLICIES[0], 5, 2)   # C rolls back at 11 while B, the longer branch, does not
+def test_fork_join_multi_outage(fork_join, policy, k, seed):
+    # every traced outage fires, also when a roll-back does not delay the end
+    trace = powersim.gen_trace(fork_join.total_cycles, k, seed)
+    report = powersim.run(fork_join.program, policy, trace, prepared=fork_join)
+    assert len(report.outages) == k
+    assert report.consistent
+
+
+def test_trackers_start_only_on_completions(fork_join, monkeypatch):
+    # one check per function at the start of the run, then one per
+    # successor of each completing function: A starts B and C, each of B
+    # and C checks D
+    calls = []
+
+    def counting(tracker, tails=()):
+        calls.append(tracker.spec.function_id)
+        return can_start(tracker, tails)
+
+    can_start = trk.can_start
+    monkeypatch.setattr(trk, "can_start", counting)
+    trace = powersim.gen_trace(fork_join.total_cycles, 0, 0)
+    powersim.run(fork_join.program, POLICIES[0], trace, prepared=fork_join)
+    assert calls == ["A", "B", "C", "D", "B", "C", "D", "D"]
+
+
+def test_one_kernel_call_per_function_without_outages(monkeypatch):
+    from dftsim.engine import CompiledRegion
+
+    program = benchgen.preset_program("adpcm")
+    prep = powersim.prepare(program)
+    spans = []
+    run = CompiledRegion.run
+
+    def recording(self, regs, c_lo, c_hi):
+        spans.append((c_lo, c_hi))
+        return run(self, regs, c_lo, c_hi)
+
+    monkeypatch.setattr(CompiledRegion, "run", recording)
+    trace = powersim.gen_trace(prep.total_cycles, 0, 0)
+    report = powersim.run(program, POLICIES[0], trace, prepared=prep)
+    assert report.consistent
+    assert len(spans) == len(program.functions)
+    assert sum(hi - lo for lo, hi in spans) == prep.total_cycles
+
+
+def test_consistency_error_names_first_diverging_register():
+    program = benchgen.generate(benchgen.random_small_shape(3))
+    prep = powersim.prepare(program)
+    regs = sorted(prep.reference)
+    true = dict(prep.reference)
+    for reg in (regs[-1], regs[0]):
+        prep.reference[reg] ^= 1
+    seed = powersim.derive_seed(11, "rnd3", "cp", 2, 0)
+    with pytest.raises(powersim.ConsistencyError) as exc:
+        powersim.run_monte_carlo(program, [powersim.Policy("cp")], [2], 1, 11,
+                                 benchmark="rnd3", prepared=prep)
+    message = str(exc.value)
+    assert f"at {regs[0]}: expected {true[regs[0]] ^ 1}, got {true[regs[0]]}" in message
+    assert f"trace seed {seed}" in message
+    assert regs[-1] not in message

@@ -221,16 +221,18 @@ def test_reference_is_deterministic():
 
 
 def test_engine_matches_dict_interpreter():
-    # the array engine and the raw-path interpreter are independent
-    # evaluators; they must agree on any valid program
+    # the array engine and the dict interpreter behind execute_reference
+    # are independent evaluators; they must agree on any valid program
     from dftsim import benchgen
-    from dftsim.program import _interp_region, _widths_map
+    from dftsim.program import compile_program
 
     for seed in range(10):
         program = benchgen.generate(benchgen.random_small_shape(seed))
-        regs = dict(program.default_inputs)
-        widths = _widths_map(program)
+        compiled = compile_program(program)
+        regfile = compiled.new_regfile(program.default_inputs)
         for fid in program.topo_order():
-            _interp_region(program.function(fid).region, regs, widths)
-        expected = {reg: regs[reg] for reg in sorted(program.all_result_regs())}
-        assert execute_reference(program) == expected
+            r = program.function(fid).region
+            compiled.regions[fid].run(regfile, 0, r.iterations * r.body_length)
+        idx = compiled.reg_index
+        engine = {reg: int(regfile[idx[reg]]) for reg in sorted(program.all_result_regs())}
+        assert execute_reference(program) == engine
