@@ -3,8 +3,11 @@
 Any change to the simulator must leave every simulated result of these
 runs byte-identical; a digest mismatch means behaviour moved. The digests
 cover the paper's compare grid (six presets, three policies, k in
-{0, 5, 20} with ``derive_seed`` cell seeds) and a single-outage sweep of a
-parallel program in which two trackers run at once.
+{0, 5, 20} with ``derive_seed`` cell seeds), a single-outage sweep of a
+parallel program in which two trackers run at once, and dense traces (an
+outage every five progress cycles) on small presets, that parallel
+program and a fork/join program, so that outages repeat the same tracker
+statuses and finished functions many times within one run.
 """
 
 import hashlib
@@ -12,12 +15,15 @@ import json
 
 from dftsim import benchgen, powersim, transform
 from dftsim.program import ScheduledProgram
+from test_powersim import fork_join_program
 
 BASE_SEED = 7
 KS = (0, 5, 20)
 
 GRID_DIGEST = "b73009773e311f151e70a637d8c7d98d20fa5a8bc415c9eda7050013ac75128f"
 SWEEP_DIGEST = "34cdc539736718320d42620f20ca93a9800808a6cf0765095a857c047e9b5e3c"
+DENSE_DIGEST = "c562c321e7ef3a991844d420e51451906802c74965c070cdfd7fbd597f24bfa4"
+DENSE_PRESETS = ("float", "global", "struct")
 
 
 def report_row(report, k):
@@ -72,9 +78,33 @@ def sweep_rows():
     return rows
 
 
+def dense_rows():
+    programs = [(name, transform.normalize(benchgen.preset_program(name)))
+                for name in DENSE_PRESETS]
+    programs += [("two-chain", transform.normalize(two_chain_program())),
+                 ("fork-join", fork_join_program())]
+    rows = []
+    for name, program in programs:
+        prep = powersim.prepare(program)
+        k = prep.total_cycles // 5
+        for pol in powersim.POLICY_NAMES:
+            seed = powersim.derive_seed(BASE_SEED, name, pol, k, 0)
+            trace = powersim.gen_trace(prep.total_cycles, k, seed)
+            report = powersim.run(prep.program, powersim.Policy(pol), trace,
+                                  prepared=prep)
+            assert report.consistent, (name, pol)
+            assert len(report.outages) == k, (name, pol)
+            rows.append([name] + report_row(report, k))
+    return rows
+
+
 def test_paper_grid_golden():
     assert digest(grid_rows()) == GRID_DIGEST
 
 
 def test_two_chain_sweep_golden():
     assert digest(sweep_rows()) == SWEEP_DIGEST
+
+
+def test_dense_outage_golden():
+    assert digest(dense_rows()) == DENSE_DIGEST
