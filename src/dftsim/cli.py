@@ -100,6 +100,15 @@ def _prepare_source(source: str, grid: Tuple[int, int], ffs_per_slice: int):
     return program, powersim.prepare(program, config)
 
 
+def _check_outages(name: str, k: int, prep) -> None:
+    """Outages fire at distinct progress points, so k must stay below the
+    program's progress cycles."""
+    if k >= prep.total_cycles:
+        raise ConfigError(
+            f"{name}: --outages {k} needs fewer outages than the program's "
+            f"{prep.total_cycles} progress cycles")
+
+
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
     (name, source), = _load_sources(args)
@@ -176,6 +185,7 @@ def cmd_simulate(args) -> int:
     if lo != hi:
         raise ConfigError("simulate takes a single outage count")
     program, prep = _prepare_source(source, _parse_grid(args.grid), args.ffs_per_slice)
+    _check_outages(name, lo, prep)
     trace = powersim.gen_trace(prep.total_cycles, lo, args.seed)
     report = powersim.run(program, powersim.Policy(policies[0]), trace, prepared=prep)
     doc = {
@@ -223,6 +233,8 @@ def cmd_compare(args) -> int:
     lo, hi = _parse_outages(args.outages)
     ks = list(range(lo, hi + 1))
     grid = _parse_grid(args.grid)
+    for name, source in sources:
+        _check_outages(name, hi, _worker_prep(source, grid, args.ffs_per_slice)[1])
 
     jobs = [(name, source, pol, k, args.rounds, args.seed, grid, args.ffs_per_slice)
             for name, source in sources for pol in policies for k in ks]

@@ -39,10 +39,6 @@ class LiveSetTable:
     live: Tuple[frozenset, ...]    # index n: registers to preserve at cycle n
     resume: Tuple[int, ...]        # index n: r(n)
 
-    def restore_set(self, n: int) -> frozenset:
-        """Registers restored after an interruption at cycle n."""
-        return self.live[self.resume[n]]
-
 
 @dataclass(frozen=True)
 class TrackerSpec:

@@ -12,7 +12,7 @@ every outage and must not drag program registers along.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .program import ProgramError, ScheduledProgram
 
@@ -94,16 +94,14 @@ class Placement:
     regs: Dict[str, Tuple[SliceAddress, ...]] = field(default_factory=dict)
     trackers: Dict[str, Tuple[SliceAddress, ...]] = field(default_factory=dict)
     slice_ffs: Dict[SliceAddress, int] = field(default_factory=dict)
-    slice_regs: Dict[SliceAddress, Tuple[str, ...]] = field(default_factory=dict)
-
-    def slices_of(self, regs) -> List[SliceAddress]:
-        out = set()
-        for reg in regs:
-            out.update(self.regs[reg])
-        return sorted(out)
 
     def occupied_ffs(self, slices) -> int:
         return sum(self.slice_ffs.get(s, 0) for s in slices)
+
+    def slice_mask(self, slices) -> int:
+        """Bitmask of distinct SLICEs: bit y * grid_w + x, the packing order."""
+        w = self.grid_w
+        return sum(1 << (a.y * w + a.x) for a in set(slices))
 
     def dump(self) -> str:
         """Text form for diffing: one line per register, then per tracker."""
@@ -171,17 +169,10 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int 
     model = ResourceModel()
 
     placed: Dict[str, Tuple[SliceAddress, ...]] = {}
-    owners: Dict[SliceAddress, List[str]] = {}
     writer_fn = {}
     for f in program.functions:
         for op in f.region.ops:
             writer_fn[op.output] = f.id
-
-    def place_reg(reg: str, width: int) -> None:
-        addrs = packer.place(width)
-        placed[reg] = addrs
-        for a in addrs:
-            owners.setdefault(a, []).append(reg)
 
     for f in sorted(program.functions, key=lambda f: f.id):
         region = f.region
@@ -190,7 +181,7 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int 
                           if reg not in writer_fn and reg not in placed)
         for reg in own + external:
             if reg not in placed:
-                place_reg(reg, region.reg_widths.get(reg, 32))
+                placed[reg] = packer.place(region.reg_widths.get(reg, 32))
 
     packer.fresh_slice()  # trackers never share SLICEs with registers
     trackers: Dict[str, Tuple[SliceAddress, ...]] = {}
@@ -205,5 +196,4 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int 
     return Placement(
         ffs_per_slice=ffs_per_slice, grid_w=grid[0], grid_h=grid[1],
         regs=placed, trackers=trackers,
-        slice_ffs=dict(packer.fills),
-        slice_regs={a: tuple(v) for a, v in owners.items()})
+        slice_ffs=dict(packer.fills))

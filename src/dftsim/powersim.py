@@ -16,7 +16,10 @@ next outage point comes, and each running region steps through the whole
 segment in one engine call. Running regions never depend on each other
 (a function starts only after all of its predecessors are done), so
 stepping them one after another gives the same registers as stepping
-them cycle by cycle together.
+them cycle by cycle together. An outage touches only the running
+trackers: idle and finished ones emit status 0 and roll back by 0, so
+boundary statuses, ``tracker.snapshot`` and ``tracker.restore`` see the
+running ones alone.
 
 Policies:
 
@@ -25,7 +28,14 @@ Policies:
   finished functions); on resume, roll trackers back to their resume
   points and replay. Registers outside the stored SLICEs lose their
   contents, which the simulator models by clobbering them with a sentinel
-  so that any protocol gap breaks crash consistency loudly.
+  so that any protocol gap breaks crash consistency loudly. The stored
+  set depends only on the emitted statuses of the running trackers and
+  on the finished functions, so each run resolves it once per distinct
+  (statuses, finished functions) key: ``control_unit.lookup`` plus the
+  finished functions' result rows give the SLICEs, their bitmask (one bit
+  per SLICE, see ``Placement.slice_mask``) against each placed register's
+  mask gives the lost registers, and a repeated key only copies
+  ``Prepared.reload`` into those registers.
 * ``cp``    - store each state's result registers to its dedicated BRAM at
   every state completion regardless of power; an outage discards the
   in-flight state entirely and resumes at the last completed boundary.
@@ -37,7 +47,8 @@ assumed to sit in a non-volatile input buffer: when an outage loses their
 register, the pre-run value is reloaded. The cp baseline could not
 restart a state from scratch without that assumption. Everything else a
 policy fails to store turns into a sentinel, so any protocol gap breaks
-crash consistency loudly.
+crash consistency loudly. ``Prepared.reload`` holds, per register, the
+value a loss leaves behind under either rule.
 """
 
 from __future__ import annotations
@@ -46,12 +57,14 @@ import hashlib
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import random
 
+import numpy as np
+
 from . import tracker as trk
-from .control_unit import ControlUnitTable, bram_usage, build_table
+from .control_unit import ControlUnitTable, bram_usage, build_table, lookup
 from .liveness import LiveSetTable, TrackerSpec, live_sets, plan_trackers
 from .placement import Placement, ResourceModel, assign_slices
 from .program import (
@@ -143,12 +156,17 @@ class Prepared:
     reference: Dict[str, int]
     total_cycles: int
     result_ffs: Dict[str, int]
-    bound_regs: frozenset      # externally provided (non-volatile input buffer)
     order: Tuple[str, ...]                  # topological order
     preds: Dict[str, Tuple[str, ...]]
     succs: Dict[str, Tuple[str, ...]]
-    written: Dict[str, Tuple[str, ...]]     # registers each function writes
     after: Dict[str, int]      # longest dependency path of work after a function
+    # Register-file views of the outage path. ``reload[i]`` is what register
+    # i holds after its contents are lost: its input-buffer value if it is
+    # externally bound, the sentinel otherwise, masked to its width.
+    reload: np.ndarray
+    written: Dict[str, Tuple[int, ...]]     # register indices each function writes
+    results: Dict[str, Tuple[int, ...]]     # result register indices per function
+    reg_slices: Tuple[Tuple[int, int], ...]  # (register index, SLICE mask) if placed
 
 
 def makespan(program: ScheduledProgram) -> int:
@@ -181,22 +199,32 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
         f.id: sum(widths.get(reg, 32) for reg in f.result_regs)
         for f in program.functions
     }
-    bound = set(program.default_inputs) | set(config.inputs)
     order = tuple(program.topo_order())
     succs = {fid: program.successors(fid) for fid in regions}
     after: Dict[str, int] = {}
     for fid in reversed(order):
         after[fid] = max((after[s] + regions[s].iterations * regions[s].body_length
                           for s in succs[fid]), default=0)
+    compiled = compile_program(program)
+    reg_index = compiled.reg_index
+    bound = {**program.default_inputs, **config.inputs}
+    reload = np.array([bound.get(reg, _CLOBBER) & ((1 << compiled.widths[i]) - 1)
+                       for reg, i in reg_index.items()], dtype=np.uint64)
+    reg_slices = tuple((reg_index[reg], placement.slice_mask(addrs))
+                       for reg, addrs in placement.regs.items())
     return Prepared(
         program=program, config=config, resources=resources, specs=specs,
         live_tables=live_tables, placement=placement, table=table,
-        compiled=compile_program(program), regions=regions,
+        compiled=compiled, regions=regions,
         reference=execute_reference(program, config.inputs),
-        total_cycles=makespan(program), result_ffs=result_ffs,
-        bound_regs=frozenset(bound), order=order,
+        total_cycles=makespan(program), result_ffs=result_ffs, order=order,
         preds={fid: program.predecessors(fid) for fid in regions}, succs=succs,
-        written={fid: r.written_regs() for fid, r in regions.items()}, after=after)
+        after=after, reload=reload,
+        written={fid: tuple(reg_index[reg] for reg in r.written_regs())
+                 for fid, r in regions.items()},
+        results={f.id: tuple(reg_index[reg] for reg in sorted(f.result_regs))
+                 for f in program.functions},
+        reg_slices=reg_slices)
 
 
 def gen_trace(total_cycles: int, outages: int, seed: int) -> PowerTrace:
@@ -224,22 +252,10 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
     bound.update(cfg.inputs)
     regs = prep.compiled.new_regfile(bound)
     reg_index = prep.compiled.reg_index
-    reg_widths = prep.compiled.widths
+    reload = prep.reload
 
     preds = prep.preds
-    written_of = prep.written
     kernels = prep.compiled.regions
-
-    def clobber(reg_ids: Iterable[str]) -> None:
-        """Lose registers outside the stored set.
-
-        Externally-bound values reload from the non-volatile input buffer
-        (their pre-run initial); anything computed turns to garbage.
-        """
-        for reg in reg_ids:
-            i = reg_index[reg]
-            fresh = bound[reg] if reg in bound else _CLOBBER
-            regs[i] = fresh & ((1 << reg_widths[i]) - 1)
 
     pending = deque(trace.points)
     position = 0
@@ -249,61 +265,63 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
     store_cost = 0
     outages: List[OutageRecord] = []
     grid_slices = cfg.grid[0] * cfg.grid[1]
+    # dft: (FFs stored, SLICEs stored, lost register indices) per outage
+    # key, i.e. per (emitted statuses of the running trackers, finished
+    # functions); both sets change only at events, so keys repeat.
+    dft_stores: Dict[tuple, Tuple[int, int, np.ndarray]] = {}
     # Only a completion can let an idle tracker start, and only its
     # successors' head locks change then; a start waits for any outage
     # at the completion point to be handled first. The longest path of
     # work still to do starts at a running function or at a candidate.
     candidates: Sequence[str] = prep.order
-    running: List[str] = []
+    running: Dict[str, trk.TrackerState] = {}
+    done: List[str] = []
 
     while True:
         if pending and pending[0] == position:
             point = pending.popleft()
-            boundary = {fid: tr.boundary_status() for fid, tr in trackers.items()}
-            emitted = trk.snapshot(trackers)
+            boundary = {fid: tr.boundary_status() for fid, tr in running.items()}
+            emitted = trk.snapshot(running)
             ff_here = 0
             slices_here = 0
             if policy.name == DFT:
-                stored = set(table.tracker_region)
-                for fid, s in emitted.items():
-                    if s:
-                        stored.update(table.row(fid, s))
-                for fid, tr in trackers.items():
-                    if tr.phase == trk.DONE:
+                key = (tuple(emitted.items()), tuple(done))
+                hit = dft_stores.get(key)
+                if hit is None:
+                    stored = set(lookup(table, emitted))
+                    for fid in done:
                         stored.update(table.result_row(fid))
-                ff_here = placement.occupied_ffs(stored)
-                slices_here = len(stored)
-                store_cost += len(stored) * policy.per_slice_cost
-                clobber(reg for reg, addrs in placement.regs.items()
-                        if any(a not in stored for a in addrs))
-                rollback = max(trk.restore(trackers, boundary, prep.regions).values(),
+                    stored_mask = placement.slice_mask(stored)
+                    lost = np.array([i for i, mask in prep.reg_slices
+                                     if mask & ~stored_mask], dtype=np.intp)
+                    hit = dft_stores[key] = (placement.occupied_ffs(stored),
+                                             len(stored), lost)
+                ff_here, slices_here, lost = hit
+                store_cost += slices_here * policy.per_slice_cost
+                regs[lost] = reload[lost]
+                rollback = max(trk.restore(running, boundary, prep.regions).values(),
                                default=0)
             elif policy.name == FULLCHIP:
                 ff_here = grid_slices * cfg.ffs_per_slice
                 slices_here = grid_slices
                 store_cost += grid_slices * policy.per_slice_cost
-                rollback = max(trk.restore(trackers, boundary, prep.regions).values(),
+                rollback = max(trk.restore(running, boundary, prep.regions).values(),
                                default=0)
             else:  # cp: discard in-flight states, resume at last boundary
-                rollback = 0
-                survivors = set()
-                for fid, tr in trackers.items():
-                    if tr.phase == trk.DONE:
-                        survivors |= program.function(fid).result_regs
-                for fid, tr in trackers.items():
-                    if tr.phase == trk.RUNNING:
-                        rollback = max(rollback, tr.elapsed)
-                        tr.count = 0
-                        tr.iter_ = 0
-                    if tr.phase != trk.IDLE:
-                        clobber(reg for reg in written_of[fid]
-                                if reg not in survivors)
+                rollback = max((tr.elapsed for tr in running.values()), default=0)
+                for tr in running.values():
+                    tr.count = 0
+                    tr.iter_ = 0
+                survivors = {i for fid in done for i in prep.results[fid]}
+                lost = [i for fid in (*running, *done) for i in prep.written[fid]
+                        if i not in survivors]
+                regs[lost] = reload[lost]
             ff_stores += ff_here
             slice_events += slices_here
             outages.append(OutageRecord(point=point, rollback=rollback,
                                         ff_stored=ff_here, slices_stored=slices_here))
-            rest = [trackers[fid].remaining + prep.after[fid]
-                    for fid in (*running, *candidates)]
+            rest = [tr.remaining + prep.after[fid] for fid, tr in running.items()]
+            rest += [trackers[fid].remaining + prep.after[fid] for fid in candidates]
             position = prep.total_cycles - max(rest)
             continue
 
@@ -312,32 +330,33 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
             if tr.phase == trk.IDLE and trk.can_start(
                     tr, [trackers[p].lock_tail for p in preds[fid]]):
                 tr.start()
-                running.append(fid)
+                running[fid] = tr
         candidates = ()
         if not running:
-            if all(tr.phase == trk.DONE for tr in trackers.values()):
+            if len(done) == len(trackers):
                 break
             raise ProgramError("simulation stalled: unstartable functions remain")
 
-        seg = min(trackers[fid].remaining for fid in running)
+        seg = min(tr.remaining for tr in running.values())
         if pending:
             seg = min(seg, pending[0] - position)
-        for fid in running:
-            tr = trackers[fid]
+        for fid, tr in running.items():
             kernels[fid].run(regs, tr.count, tr.count + seg)
             tr.advance(seg)
         position += seg
         wall += seg
-        finished = [fid for fid in running if trackers[fid].phase == trk.DONE]
+        finished = [fid for fid, tr in running.items() if tr.phase == trk.DONE]
         if finished:
-            running = [fid for fid in running if fid not in finished]
+            for fid in finished:
+                del running[fid]
+            done += finished
             candidates = tuple(dict.fromkeys(
                 s for fid in finished for s in prep.succs[fid]))
             if policy.name == CP:
                 # checkpoint fires at every completion, power or not
                 for fid in finished:
                     ff_stores += prep.result_ffs[fid]
-                    store_cost += len(program.function(fid).result_regs) * policy.per_word_cost
+                    store_cost += len(prep.results[fid]) * policy.per_word_cost
 
     final = {reg: int(regs[reg_index[reg]])
              for reg in sorted(program.all_result_regs())}

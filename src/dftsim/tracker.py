@@ -66,21 +66,9 @@ class TrackerState:
         self.count = 0
         self.iter_ = 0
 
-    def tick(self) -> None:
-        """Advance one completed body cycle; wrap and terminate as needed."""
-        if self.phase != RUNNING:
-            raise TrackerContractError(f"tick on {self.phase} tracker {self.spec.function_id}")
-        self.count += 1
-        if self.count == self.body_length:
-            self.count = 0
-            self.iter_ += 1
-            if self.iter_ == self.spec.iterations:
-                self.phase = DONE
-                self.lock_tail = True
-                self.status = 0
-
     def advance(self, cycles: int) -> None:
-        """Equivalent of ``cycles`` consecutive ticks (leap form)."""
+        """Complete ``cycles`` body cycles, wrapping the counter at each
+        iteration seam and terminating after the last iteration."""
         if self.phase != RUNNING:
             raise TrackerContractError(f"advance on {self.phase} tracker {self.spec.function_id}")
         total = self.elapsed + cycles

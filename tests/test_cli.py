@@ -83,3 +83,14 @@ def test_split_dataflow_break_exits_validation(tmp_path, capsys):
                          "--rounds", "1"])
         assert code == cli.EXIT_VALIDATION, command
         assert "split dataflow break" in capsys.readouterr().err, command
+
+
+@pytest.mark.parametrize("command,outages", [("simulate", "100"), ("compare", "0..100")])
+def test_outages_past_progress_cycles_exit_config(command, outages, tmp_path, capsys):
+    # global has 34 progress cycles, so at most 33 distinct outage points
+    code = cli.main([command, "--preset", "global", "--outages", outages,
+                     "--rounds", "1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--outages 100" in err and "34 progress cycles" in err
+    assert not list(tmp_path.iterdir())   # compare ran no cell
