@@ -154,3 +154,28 @@ def test_consistency_error_names_first_diverging_register():
     assert f"at {regs[0]}: expected {true[regs[0]] ^ 1}, got {true[regs[0]]}" in message
     assert f"trace seed {seed}" in message
     assert regs[-1] not in message
+
+
+def test_corrupt_status_raises_on_a_repeated_key(fork_join, monkeypatch):
+    # the per-run store-set memo must not hide the address table's range
+    # check: A's statuses at points 2..6 are 2, 3, 4, 1, 2, so the fifth
+    # outage repeats the first key; there A reports one past its row range
+    from dftsim.control_unit import ControlUnitError
+
+    snapshot = trk.snapshot
+    seen = []
+
+    def corrupting(trackers):
+        out = snapshot(trackers)
+        seen.append(dict(out))
+        if len(seen) == 5:
+            assert seen[4] == seen[0] == {"A": 2}
+            out["A"] = fork_join.table.status_rows["A"] + 1
+        return out
+
+    monkeypatch.setattr(trk, "snapshot", corrupting)
+    trace = powersim.PowerTrace(points=(2, 3, 4, 5, 6), seed=0,
+                                total_cycles=fork_join.total_cycles)
+    with pytest.raises(ControlUnitError, match="corrupt status 5 for A"):
+        powersim.run(fork_join.program, POLICIES[0], trace, prepared=fork_join)
+    assert len(seen) == 5
