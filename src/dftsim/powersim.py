@@ -313,9 +313,10 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
                     tr.count = 0
                     tr.iter_ = 0
                 survivors = {i for fid in done for i in prep.results[fid]}
-                lost = [i for fid in (*running, *done) for i in prep.written[fid]
-                        if i not in survivors]
-                regs[lost] = reload[lost]
+                for fid in (*running, *done):
+                    for i in prep.written[fid]:
+                        if i not in survivors:
+                            regs[i] = reload[i]
             ff_stores += ff_here
             slice_events += slices_here
             outages.append(OutageRecord(point=point, rollback=rollback,
