@@ -99,9 +99,12 @@ class Placement:
         return sum(self.slice_ffs.get(s, 0) for s in slices)
 
     def slice_mask(self, slices) -> int:
-        """Bitmask of distinct SLICEs: bit y * grid_w + x, the packing order."""
+        """Bitmask of SLICEs: bit y * grid_w + x, the packing order."""
         w = self.grid_w
-        return sum(1 << (a.y * w + a.x) for a in set(slices))
+        mask = 0
+        for a in slices:
+            mask |= 1 << (a.y * w + a.x)
+        return mask
 
     def dump(self) -> str:
         """Text form for diffing: one line per register, then per tracker."""
