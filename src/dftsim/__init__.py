@@ -27,7 +27,7 @@ from .liveness import (
     tracking_policy,
 )
 from .tracker import TrackerState, can_start
-from .placement import Placement, ResourceModel, assign_slices, cu_resources, tracker_resources
+from .placement import Placement, ResourceModel, assign_slices
 from .control_unit import ControlUnitTable, bram_usage, build_table, lookup
 from .powersim import (
     Policy,

@@ -93,9 +93,6 @@ def _out_dir(args) -> Path:
 
 def _prepare_source(source: str, grid: Tuple[int, int], ffs_per_slice: int):
     program = transform.normalize(_load_program(source))
-    problems = validate(program)
-    if problems:
-        raise ProgramError("\n".join(str(p) for p in problems))
     config = powersim.SimConfig(ffs_per_slice=ffs_per_slice, grid=grid)
     return program, powersim.prepare(program, config)
 
@@ -119,11 +116,6 @@ def cmd_analyze(args) -> int:
             print(str(p), file=sys.stderr)
         return EXIT_VALIDATION
     program = transform.normalize(program)
-    problems = validate(program)
-    if problems:
-        for p in problems:
-            print(str(p), file=sys.stderr)
-        return EXIT_VALIDATION
     config = powersim.SimConfig(ffs_per_slice=args.ffs_per_slice,
                                 grid=_parse_grid(args.grid))
     prep = powersim.prepare(program, config)

@@ -18,7 +18,7 @@ no BRAM, which is what synthesis does to small lookup structures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 import struct
 
@@ -124,15 +124,15 @@ def build_table(program: ScheduledProgram, specs: Mapping[str, TrackerSpec],
         table_width=width)
 
 
-def lookup(table: ControlUnitTable, statuses: Mapping[str, int]) -> List[SliceAddress]:
+def lookup(table: ControlUnitTable, statuses: Mapping[str, int]) -> Set[SliceAddress]:
     """SLICEs to store for a snapshot: tracker region plus each nonzero
-    tracker's row. Deduplicated and sorted."""
+    tracker's row, as a new set that the caller may extend."""
     out = set(table.tracker_region)
     for fid, status in statuses.items():
         if status == 0:
             continue
         out.update(table.row(fid, status))
-    return sorted(out)
+    return out
 
 
 def bram_usage(table: ControlUnitTable) -> int:

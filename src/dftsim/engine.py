@@ -1,161 +1,122 @@
-"""Execution engine: compiles regions to flat arrays and steps body cycles.
+"""Execution engine: one generated Python function per region.
 
+The register file is a plain list of ints indexed by ``reg_index``.
 ``CompiledRegion.run`` steps any span of a region's unrolled iterations in
-one call. Whole iterations run in a straight-line Python function
-generated for the region on its first use: registers live in locals,
-every op latching in a cycle is computed before any of them is written
-back, and the width masks are folded into constants. Partial iterations
-at the head and tail of a span go through the cycle-stepping kernel,
-which lives in a compiled extension when available; a pure-Python kernel
-with identical semantics is selected at import time otherwise. Set
-``DFTSIM_PURE_PYTHON=1`` to force the fallback. tests/test_kernel.py
-checks both paths against the dict interpreter ``program._interp_region``.
+one call to a function generated for the region on its first use:
+registers live in locals and are written back once, every op latching in
+a cycle is computed before any of them is written back, and the width
+masks are folded into constants. The function holds the body twice: a
+guarded copy, in which each latch cycle runs only if it falls inside the
+requested cycles, steps the partial iterations at the head and tail of a
+span, and an unguarded copy in a loop steps the whole iterations between
+them. tests/test_kernel.py checks every kind of span against the dict
+interpreter ``program._interp_region``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Mapping
 
-import numpy as np
-
-from . import _kernel_py
-
-if os.environ.get("DFTSIM_PURE_PYTHON"):
-    _impl = _kernel_py
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernel_py
-
-KERNEL_NAME = "compiled" if _impl.COMPILED else "python"
+KERNEL_NAME = "python"
 
 _U32 = 0xFFFFFFFF
 
-_OPCODES = {"const": 0, "pass": 1, "add": 2, "sub": 3, "mul": 4, "xor": 5}
+# Value of each opcode, from its input register indices, with the output
+# mask folded in; the mask is at most 32 bits, so it subsumes the 32-bit
+# wrap.
+_EXPR = {
+    "const": "{k}",
+    "pass": "r{0} & {m}",
+    "add": "(r{0} + r{1}) & {m}",
+    "sub": "(r{0} - r{1}) & {m}",
+    "mul": "(r{0} * r{1}) & {m}",
+    "xor": "(r{0} ^ r{1}) & {m}",
+}
 
 
 class CompiledRegion:
-    """One region body flattened into latch-order arrays.
+    """One region body, stepped by a function generated on first use."""
 
-    Operations are grouped by end cycle; ``ptr[c]:ptr[c+1]`` slices the
-    per-op arrays for the group latching at cycle ``c``.
-    """
-
-    __slots__ = (
-        "body_length", "iterations", "n_ops",
-        "ptr", "opc", "a", "b", "out", "imm", "mask", "scratch", "_iterate",
-    )
+    __slots__ = ("body_length", "iterations", "_ops", "_reg_index", "_widths",
+                 "_span")
 
     def __init__(self, ops, body_length: int, iterations: int,
                  reg_index: Mapping[str, int], widths: Mapping[str, int]):
         self.body_length = body_length
         self.iterations = iterations
-        order = sorted(range(len(ops)), key=lambda i: (ops[i].end, i))
-        self.n_ops = len(ops)
-        ptr = np.zeros(body_length + 1, dtype=np.int64)
-        opc = np.zeros(self.n_ops, dtype=np.int8)
-        a = np.full(self.n_ops, -1, dtype=np.intc)
-        b = np.full(self.n_ops, -1, dtype=np.intc)
-        out = np.zeros(self.n_ops, dtype=np.intc)
-        imm = np.zeros(self.n_ops, dtype=np.uint64)
-        mask = np.zeros(self.n_ops, dtype=np.uint64)
-        max_group = 0
-        k = 0
-        for c in range(body_length):
-            ptr[c] = k
-            group = [i for i in order if ops[i].end == c]
-            # `order` is end-sorted; linear scan kept simple, compile is cold
-            for i in group:
-                op = ops[i]
-                opc[k] = _OPCODES[op.opcode]
-                if op.inputs:
-                    a[k] = reg_index[op.inputs[0]]
-                if len(op.inputs) > 1:
-                    b[k] = reg_index[op.inputs[1]]
-                out[k] = reg_index[op.output]
-                imm[k] = op.value & _U32
-                w = widths.get(op.output, 32)
-                mask[k] = (1 << w) - 1
-                k += 1
-            max_group = max(max_group, len(group))
-        ptr[body_length] = k
-        self.ptr = ptr
-        self.opc = opc
-        self.a = a
-        self.b = b
-        self.out = out
-        self.imm = imm
-        self.mask = mask
-        self.scratch = np.zeros(max(1, max_group), dtype=np.uint64)
-        self._iterate = None
+        self._ops = ops
+        self._reg_index = reg_index
+        self._widths = widths
+        self._span = None
 
-    def run(self, regs: np.ndarray, c_lo: int, c_hi: int) -> None:
+    def run(self, regs: List[int], c_lo: int, c_hi: int) -> None:
         """Latch all ops ending in cycles [c_lo, c_hi) against ``regs``.
 
         ``c_lo`` is a body cycle in [0, body_length). ``c_hi`` may pass
         ``body_length``: cycle ``c`` of the span is then body cycle
         ``c % body_length`` of a later iteration.
         """
-        L = self.body_length
-        if c_lo:
-            self._cycles(regs, c_lo, min(c_hi, L))
-            if c_hi <= L:
-                return
-            c_hi -= L
-        full, tail = divmod(c_hi, L)
-        if full:
-            if self._iterate is None:
-                self._iterate = self._generate()
-            self._iterate(regs, full)
-        if tail:
-            self._cycles(regs, 0, tail)
-
-    def _cycles(self, regs: np.ndarray, c_lo: int, c_hi: int) -> None:
-        _impl.run_cycles(self.ptr, self.opc, self.a, self.b, self.out,
-                         self.imm, self.mask, regs, self.scratch, c_lo, c_hi)
+        span = self._span
+        if span is None:
+            span = self._span = self._generate()
+        span(regs, c_lo, c_hi)
 
     def _generate(self):
-        """Compile ``iterate(regs, n)``, which runs n whole iterations.
+        """Compile ``span(regs, lo, hi)``.
 
         Each cycle's latch group becomes one tuple assignment, so every
-        right-hand side reads the pre-edge values.
+        right-hand side reads the pre-edge values. A span that starts
+        mid-iteration, or ends within its first iteration, runs the
+        guarded copy over [lo, min(hi, L)); whole iterations follow, and a
+        partial tail runs the guarded copy again over [0, hi % L).
         """
-        ptr, opc, a, b, out, imm, mask = (
-            arr.tolist() for arr in (self.ptr, self.opc, self.a, self.b,
-                                     self.out, self.imm, self.mask))
-        reads = sorted({r for r in a + b if r >= 0})
-        lines = ["def iterate(regs, n):"]
-        lines += [f"    r{i} = int(regs[{i}])" for i in reads]
-        lines.append("    for _ in range(n):")
-        for c in range(self.body_length):
-            group = range(ptr[c], ptr[c + 1])
+        L = self.body_length
+        idx = self._reg_index
+        by_end: Dict[int, list] = {}
+        for op in self._ops:
+            by_end.setdefault(op.end, []).append(op)
+        groups = []
+        reads, written = set(), set()
+        for c in range(L):
+            group = by_end.get(c)
             if not group:
                 continue
-            targets = ", ".join(f"r{out[i]}" for i in group)
-            values = ", ".join(
-                _EXPR[opc[i]].format(a=a[i], b=b[i], m=mask[i], k=imm[i] & mask[i])
-                for i in group)
-            lines.append(f"        {targets} = {values}")
-        if not self.n_ops:
-            lines.append("        pass")
-        lines += [f"    regs[{i}] = r{i}" for i in sorted(set(out))]
+            targets, values = [], []
+            for op in group:
+                m = (1 << self._widths.get(op.output, 32)) - 1
+                ins = [idx[r] for r in op.inputs]
+                reads.update(ins)
+                out = idx[op.output]
+                written.add(out)
+                targets.append(f"r{out}")
+                values.append(_EXPR[op.opcode].format(*ins, m=m, k=op.value & _U32 & m))
+            groups.append((c, ", ".join(targets), ", ".join(values)))
+
+        # A guarded span may skip a register's writer, so every register
+        # written back is loaded first.
+        lines = ["def span(regs, lo, hi):"]
+        lines += [f"    r{i} = regs[{i}]" for i in sorted(reads | written)]
+        lines += ["    while True:",
+                  f"        if lo or hi < {L}:",
+                  f"            e = hi if hi < {L} else {L}"]
+        for c, targets, values in groups:
+            lines += [f"            if lo <= {c} < e:",
+                      f"                {targets} = {values}"]
+        lines += [f"            hi -= {L}",
+                  "            if hi <= 0:",
+                  "                break",
+                  "            lo = 0",
+                  f"        for _ in range(hi // {L}):"]
+        lines += [f"            {targets} = {values}" for _, targets, values in groups]
+        if not groups:
+            lines.append("            pass")
+        lines += [f"        hi %= {L}",
+                  "        if not hi:",
+                  "            break"]
+        lines += [f"    regs[{i}] = r{i}" for i in sorted(written)]
         namespace: Dict[str, object] = {}
         exec("\n".join(lines), namespace)
-        return namespace["iterate"]
-
-
-# Value of each opcode with the output mask folded in; the mask is at most
-# 32 bits, so it subsumes the 32-bit wrap.
-_EXPR = {
-    0: "{k}",
-    1: "r{a} & {m}",
-    2: "(r{a} + r{b}) & {m}",
-    3: "(r{a} - r{b}) & {m}",
-    4: "(r{a} * r{b}) & {m}",
-    5: "(r{a} ^ r{b}) & {m}",
-}
+        return namespace["span"]
 
 
 class CompiledProgram:
@@ -174,8 +135,8 @@ class CompiledProgram:
         self.regions[function_id] = CompiledRegion(
             ops, body_length, iterations, self.reg_index, widths)
 
-    def new_regfile(self, inputs: Mapping[str, int]) -> np.ndarray:
-        regs = np.zeros(len(self.reg_index), dtype=np.uint64)
+    def new_regfile(self, inputs: Mapping[str, int]) -> List[int]:
+        regs = [0] * len(self.widths)
         for rid, value in inputs.items():
             idx = self.reg_index.get(rid)
             if idx is not None:

@@ -76,14 +76,6 @@ class ResourceModel:
         return _CU_TABLE[width]
 
 
-def tracker_resources(width: int) -> Tuple[int, int]:
-    return ResourceModel().tracker_resources(width)
-
-
-def cu_resources(width: int) -> Tuple[int, int, int]:
-    return ResourceModel().cu_resources(width)
-
-
 @dataclass
 class Placement:
     """Flip-flop hosting of every register and every tracker."""

@@ -61,8 +61,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import random
 
-import numpy as np
-
 from . import tracker as trk
 from .control_unit import ControlUnitTable, bram_usage, build_table, lookup
 from .liveness import LiveSetTable, TrackerSpec, live_sets, plan_trackers
@@ -163,7 +161,7 @@ class Prepared:
     # Register-file views of the outage path. ``reload[i]`` is what register
     # i holds after its contents are lost: its input-buffer value if it is
     # externally bound, the sentinel otherwise, masked to its width.
-    reload: np.ndarray
+    reload: Tuple[int, ...]
     written: Dict[str, Tuple[int, ...]]     # register indices each function writes
     results: Dict[str, Tuple[int, ...]]     # result register indices per function
     reg_slices: Tuple[Tuple[int, int], ...]  # (register index, SLICE mask) if placed
@@ -185,7 +183,7 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
         raise ProgramError("program must be normalized before simulation")
     violations = validate(program)
     if violations:
-        raise ProgramError(f"invalid program: {violations[0]}")
+        raise ProgramError("\n".join(str(v) for v in violations))
     resources = ResourceModel()
     specs = plan_trackers(program, resources)
     live_tables = {f.id: live_sets(f.region, f.result_regs) for f in program.functions}
@@ -208,8 +206,8 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
     compiled = compile_program(program)
     reg_index = compiled.reg_index
     bound = {**program.default_inputs, **config.inputs}
-    reload = np.array([bound.get(reg, _CLOBBER) & ((1 << compiled.widths[i]) - 1)
-                       for reg, i in reg_index.items()], dtype=np.uint64)
+    reload = tuple(bound.get(reg, _CLOBBER) & ((1 << compiled.widths[i]) - 1)
+                   for reg, i in reg_index.items())
     reg_slices = tuple((reg_index[reg], placement.slice_mask(addrs))
                        for reg, addrs in placement.regs.items())
     return Prepared(
@@ -268,7 +266,7 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
     # dft: (FFs stored, SLICEs stored, lost register indices) per outage
     # key, i.e. per (emitted statuses of the running trackers, finished
     # functions); both sets change only at events, so keys repeat.
-    dft_stores: Dict[tuple, Tuple[int, int, np.ndarray]] = {}
+    dft_stores: Dict[tuple, Tuple[int, int, Tuple[int, ...]]] = {}
     # Only a completion can let an idle tracker start, and only its
     # successors' head locks change then; a start waits for any outage
     # at the completion point to be handled first. The longest path of
@@ -288,17 +286,18 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
                 key = (tuple(emitted.items()), tuple(done))
                 hit = dft_stores.get(key)
                 if hit is None:
-                    stored = set(lookup(table, emitted))
+                    stored = lookup(table, emitted)
                     for fid in done:
                         stored.update(table.result_row(fid))
                     stored_mask = placement.slice_mask(stored)
-                    lost = np.array([i for i, mask in prep.reg_slices
-                                     if mask & ~stored_mask], dtype=np.intp)
+                    lost = tuple(i for i, mask in prep.reg_slices
+                                 if mask & ~stored_mask)
                     hit = dft_stores[key] = (placement.occupied_ffs(stored),
                                              len(stored), lost)
                 ff_here, slices_here, lost = hit
                 store_cost += slices_here * policy.per_slice_cost
-                regs[lost] = reload[lost]
+                for i in lost:
+                    regs[i] = reload[i]
                 rollback = max(trk.restore(running, boundary, prep.regions).values(),
                                default=0)
             elif policy.name == FULLCHIP:
@@ -359,7 +358,7 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
                     ff_stores += prep.result_ffs[fid]
                     store_cost += len(prep.results[fid]) * policy.per_word_cost
 
-    final = {reg: int(regs[reg_index[reg]])
+    final = {reg: regs[reg_index[reg]]
              for reg in sorted(program.all_result_regs())}
     if policy.name == DFT:
         brams = bram_usage(table)

@@ -21,8 +21,8 @@ Semantics fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import engine
 
@@ -580,7 +580,7 @@ def execute_reference(program: ScheduledProgram,
     Returns the FinalState: values of all result registers. Deterministic
     for a fixed program and inputs. Raw and normalized programs alike are
     stepped by the dict interpreter ``_interp_region``, which shares no
-    code with the array engine, so every consistency check of a simulated
+    code with the generated engine, so every consistency check of a simulated
     run also tests the engine, and transform equivalence tests compare the
     programs before and after a rewrite. Bound inputs are masked to their
     declared widths, as ``CompiledProgram.new_regfile`` does.
@@ -593,8 +593,3 @@ def execute_reference(program: ScheduledProgram,
     _interp_program(program, regs, widths)
     return {reg: regs[reg] for reg in sorted(program.all_result_regs())}
 
-
-def normalized_copy(program: ScheduledProgram, functions: Iterable[FunctionSchedule],
-                    dependencies: Iterable[Tuple[str, str]]) -> ScheduledProgram:
-    return replace(program, functions=tuple(functions),
-                   dependencies=tuple(dependencies), main_sequence=())

@@ -31,19 +31,6 @@ class SplitError(ProgramError):
 
 
 @dataclass(frozen=True)
-class RawFunction:
-    """Pre-normalization function: possibly several regions.
-
-    ``loose`` marks functions synthesized from free-floating main-level
-    operations by ``merge``.
-    """
-    id: str
-    regions: Tuple[Region, ...]
-    result_regs: frozenset
-    loose: bool = False
-
-
-@dataclass(frozen=True)
 class NormalizeMap:
     """Traceability from original ids to normalized fragment ids."""
     fragments: Dict[str, Tuple[str, ...]]   # original function -> fragments

@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from dftsim import cli
+from dftsim import cli, powersim
 from dftsim.program import (
     FunctionSchedule,
     Operation,
     Region,
     ScheduledProgram,
     serialize_program,
+    validate,
 )
 
 
@@ -94,3 +95,20 @@ def test_outages_past_progress_cycles_exit_config(command, outages, tmp_path, ca
     err = capsys.readouterr().err
     assert "--outages 100" in err and "34 progress cycles" in err
     assert not list(tmp_path.iterdir())   # compare ran no cell
+
+
+@pytest.mark.parametrize("command", ("analyze", "simulate", "compare"))
+def test_normalized_program_validated_once(command, two_loop_path, tmp_path, monkeypatch):
+    normalized = []
+
+    def counting(program):
+        normalized.append(program.is_normalized)
+        return validate(program)
+
+    monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(powersim, "validate", counting)
+    code = cli.main([command, "--program", str(two_loop_path), "--out", str(tmp_path),
+                     "--rounds", "1"])
+    assert code == cli.EXIT_OK
+    # analyze also validates the raw program, before normalizing it
+    assert normalized == ([False, True] if command == "analyze" else [True])

@@ -1,9 +1,12 @@
-"""The array engine against the dict interpreter.
+"""The generated engine against the dict interpreter.
 
-``CompiledRegion.run`` steps whole iterations through generated code and
-partial ones through the cycle kernel; ``program._interp_region`` shares
-no code with either. After every span the whole register file must equal
-the interpreter's state after the same number of cycles.
+``CompiledRegion.run`` steps every span through one function generated
+per region: a guarded copy of the body for a partial head or tail and an
+unguarded copy for the whole iterations between them.
+``program._interp_region`` shares no code with it. The cuts below end
+spans mid-iteration, at seams and across several iterations, so every
+path of the generated function runs; after every span the whole register
+file must equal the interpreter's state after the same number of cycles.
 """
 
 import random

@@ -7,15 +7,20 @@ into a sentinel), replays from the cycle after the resume point r(n) to
 the end of the function and compares the result registers with the
 uninterrupted run. Each function starts from the reference state its
 predecessors leave behind.
+
+Ops read their inputs at their end cycle, so the oracle also passes when
+no roll-back happens at all. Hand-built bodies with known in-flight
+multi-cycle operations therefore pin the resume points themselves, and
+the roll-back ``tracker.restore`` derives from them.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from dftsim import benchgen, transform
-from dftsim.liveness import live_sets
-from dftsim.program import _interp_region, _widths_map
+from dftsim import benchgen, transform, tracker as trk
+from dftsim.liveness import live_sets, make_tracker_spec, resume_point
+from dftsim.program import FunctionSchedule, Operation, Region, _interp_region, _widths_map
 
 LOST = 0xDEADBEEF
 
@@ -66,3 +71,59 @@ def test_restore_replay_presets(name):
 @pytest.mark.parametrize("seed", range(24))
 def test_restore_replay_random_small(seed):
     check_program(benchgen.generate(benchgen.random_small_shape(seed)))
+
+
+def op(oid, opcode, inputs, output, start, end):
+    return Operation(id=oid, opcode=opcode, inputs=tuple(inputs), output=output,
+                     start=start, end=end)
+
+
+# Hand-built bodies with known in-flight multi-cycle operations, and the
+# resume point r(n) of every body cycle n: the earliest start among the
+# operations with start <= n < end, or n itself when none spans n.
+RESUME_TABLES = [
+    # a spans [0, 2), b [1, 4), d [3, 5); c is single-cycle
+    (Region(kind="loop", iterations=2, body_length=6, live_in=("x", "y", "k"),
+            ops=(op("a", "add", ["x", "y"], "p", 0, 2),
+                 op("b", "xor", ["x", "k"], "q", 1, 4),
+                 op("c", "pass", ["q"], "s", 4, 4),
+                 op("d", "sub", ["p", "x"], "t", 3, 5))),
+     (0, 0, 1, 1, 3, 5)),
+    # one operation in flight over the whole body but its last cycle
+    (Region(kind="straight", iterations=1, body_length=5, live_in=("x",),
+            ops=(op("m", "mul", ["x", "x"], "y", 0, 4),)),
+     (0, 0, 0, 0, 4)),
+    # nested spans: the outer one decides
+    (Region(kind="straight", iterations=1, body_length=6, live_in=("x", "y"),
+            ops=(op("o", "add", ["x", "y"], "p", 1, 5),
+                 op("i", "sub", ["x", "y"], "q", 2, 3))),
+     (0, 1, 1, 1, 1, 5)),
+    # single-cycle operations only: nothing to roll back
+    (Region(kind="loop", iterations=3, body_length=3, live_in=("x",),
+            ops=(op("s", "pass", ["x"], "y", 1, 1),
+                 op("t", "add", ["x", "y"], "x", 2, 2))),
+     (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("region,resume", RESUME_TABLES)
+def test_resume_point_table(region, resume):
+    assert tuple(resume_point(region, n) for n in range(region.body_length)) == resume
+    assert live_sets(region).resume == resume
+
+
+@pytest.mark.parametrize("region,resume", RESUME_TABLES)
+def test_restore_rolls_back_to_the_resume_point(region, resume):
+    L = region.body_length
+    f = FunctionSchedule(id="f", regions=(region,), result_regs=frozenset())
+    for n in range(L):
+        tr = trk.TrackerState(spec=make_tracker_spec(f))
+        tr.start()
+        tr.advance(n + 1)
+        if tr.phase == trk.DONE:     # a finished function has nothing to roll back
+            continue
+        status = trk.snapshot({"f": tr})["f"]
+        assert status == n + 1
+        rollback = trk.restore({"f": tr}, {"f": status}, {"f": region})
+        assert rollback == {"f": n - resume[n]}
+        assert tr.count == (resume[n] + 1) % L

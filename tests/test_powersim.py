@@ -8,6 +8,7 @@ from dftsim import benchgen, powersim, tracker as trk
 from dftsim.program import (
     FunctionSchedule,
     Operation,
+    ProgramError,
     Region,
     ScheduledProgram,
     execute_reference,
@@ -179,3 +180,16 @@ def test_corrupt_status_raises_on_a_repeated_key(fork_join, monkeypatch):
     with pytest.raises(ControlUnitError, match="corrupt status 5 for A"):
         powersim.run(fork_join.program, POLICIES[0], trace, prepared=fork_join)
     assert len(seen) == 5
+
+
+def test_prepare_reports_every_violation():
+    # an op latching past the body, and a result register nothing writes
+    program = ScheduledProgram(
+        functions=(fn("f", "straight", 1, 2, [op("o", "add", ["x", "x"], "y", 0, 2)],
+                      ["x"], ["z"]),),
+        dependencies=(), default_inputs={"x": 1})
+    violations = [str(v) for v in validate(program)]
+    assert len(violations) >= 2
+    with pytest.raises(ProgramError) as exc:
+        powersim.prepare(program)
+    assert str(exc.value).splitlines() == violations

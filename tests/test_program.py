@@ -221,7 +221,7 @@ def test_reference_is_deterministic():
 
 
 def test_engine_matches_dict_interpreter():
-    # the array engine and the dict interpreter behind execute_reference
+    # the generated engine and the dict interpreter behind execute_reference
     # are independent evaluators; they must agree on any valid program
     from dftsim import benchgen
     from dftsim.program import compile_program
