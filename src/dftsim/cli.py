@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import benchgen, powersim, transform
 from .control_unit import bram_usage, serialize_table
 from .liveness import TRACKED
-from .program import ProgramError, parse_program, serialize_program, validate
+from .program import ParseError, ProgramError, parse_program, serialize_program, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -76,11 +76,25 @@ def _load_sources(args) -> List[Tuple[str, str]]:
     return out
 
 
+def _one_source(args) -> Tuple[str, str]:
+    sources = _load_sources(args)
+    if len(sources) != 1:
+        raise ConfigError(f"{args.command} takes exactly one --program or --preset")
+    return sources[0]
+
+
 def _load_program(source: str):
     kind, _, ref = source.partition(":")
     if kind == "preset":
+        if ref not in benchgen.PRESETS:
+            raise ConfigError(f"unknown preset '{ref}' (have {', '.join(benchgen.PRESETS)})")
         return benchgen.preset_program(ref)
-    text = Path(ref).read_text()
+    try:
+        text = Path(ref).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read program {ref}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte {exc.start})", ref)
     return parse_program(text)
 
 
@@ -108,7 +122,7 @@ def _check_outages(name: str, k: int, prep) -> None:
 
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
-    (name, source), = _load_sources(args)
+    name, source = _one_source(args)
     program = _load_program(source)
     problems = validate(program)
     if problems:
@@ -169,7 +183,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    (name, source), = _load_sources(args)
+    name, source = _one_source(args)
     policies = args.policy or ["dft"]
     if len(policies) != 1:
         raise ConfigError("simulate takes exactly one --policy")
@@ -223,6 +237,8 @@ def cmd_compare(args) -> int:
     sources = _load_sources(args)
     policies = args.policy or list(powersim.POLICY_NAMES)
     lo, hi = _parse_outages(args.outages)
+    if args.rounds < 1:
+        raise ConfigError(f"bad --rounds {args.rounds} (need at least 1)")
     ks = list(range(lo, hi + 1))
     grid = _parse_grid(args.grid)
     for name, source in sources:

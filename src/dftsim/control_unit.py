@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Set, Tuple
 
 import struct
+from operator import attrgetter
 
 from .liveness import LiveSetTable, TrackerSpec, TRACKED
 from .placement import Placement, SliceAddress
@@ -29,6 +30,10 @@ from .program import ProgramError, ScheduledProgram
 BRAM_BITS = 18432          # one block RAM holds 18 Kb
 ENTRY_BITS = 32            # two 16-bit coordinates per address
 DIRECTORY_BITS = 32        # 16-bit start + 16-bit length per row
+
+# Sort key giving SliceAddress's own (x, y) order, compared in C instead of
+# through the generated ``__lt__``.
+_XY = attrgetter("x", "y")
 
 
 class ControlUnitError(ProgramError):
@@ -90,9 +95,10 @@ def build_table(program: ScheduledProgram, specs: Mapping[str, TrackerSpec],
             if addrs is None:
                 raise UnplacedRegisterError(f"unplaced register {reg}")
             out.update(addrs)
-        return tuple(sorted(out))
+        return tuple(sorted(out, key=_XY))
 
-    region_slices = sorted({a for addrs in placement.trackers.values() for a in addrs})
+    region_slices = sorted({a for addrs in placement.trackers.values() for a in addrs},
+                           key=_XY)
 
     rows: List[Tuple[SliceAddress, ...]] = []
     offsets: Dict[str, int] = {}

@@ -21,6 +21,24 @@ trackers: idle and finished ones emit status 0 and roll back by 0, so
 boundary statuses, ``tracker.snapshot`` and ``tracker.restore`` see the
 running ones alone.
 
+Until its first outage, an intermittent run is the uninterrupted run. So
+``run`` does not step that part again: it starts from the last entry of
+``Prepared.states`` at or before the first outage point, and a run
+without outages starts from the last entry. The table holds the
+scheduler's state (position, registers, every tracker, the running,
+finished and candidate functions) at the start of the run and after each
+function completion, where segments end anyway, so it has at most one
+entry per function; an outage before the first completion therefore
+still steps from cycle 0. An entry is taken before the successors of
+the completing functions are checked for a start, so an outage at a
+completion point still fires before they start. The first ``run`` on a
+``Prepared`` whose first outage comes at or after the first completion
+(``Prepared.first_completion``, the shortest entry function) builds the
+table by stepping the uninterrupted run once; a run that must step from
+cycle 0 anyway does not need it. ``prepare`` does not build it, because
+that would move the first-use compilation of every region kernel into
+set-up, which callers that never run a program would pay too.
+
 Policies:
 
 * ``dft``   - snapshot tracker statuses, look up the address table, store
@@ -31,14 +49,17 @@ Policies:
   so that any protocol gap breaks crash consistency loudly. The stored
   set depends only on the emitted statuses of the running trackers and
   on the finished functions, so each run resolves it once per distinct
-  (statuses, finished functions) key: ``control_unit.lookup`` plus the
-  finished functions' result rows give the SLICEs, their bitmask (one bit
-  per SLICE, see ``Placement.slice_mask``) against each placed register's
-  mask gives the lost registers, and a repeated key only copies
-  ``Prepared.reload`` into those registers.
+  (statuses, finished functions) key, in ``store_set``: ``prepare`` holds
+  the address table's rows and the finished functions' result rows as
+  SLICE bitmasks (one bit per SLICE, see ``Placement.slice_mask``), so
+  the stored SLICEs are an OR of integers, their bitmask against each
+  placed register's mask gives the lost registers, and a repeated key
+  only copies ``Prepared.reload`` into those registers.
 * ``cp``    - store each state's result registers to its dedicated BRAM at
   every state completion regardless of power; an outage discards the
   in-flight state entirely and resumes at the last completed boundary.
+  Every function completes exactly once per run, so what ``cp`` stores
+  does not depend on the trace.
 * ``fullchip`` - store every SLICE on the grid at each outage; nothing is
   lost, but roll-back for in-flight multi-cycle operations still applies.
 
@@ -55,19 +76,20 @@ from __future__ import annotations
 
 import hashlib
 import statistics
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import random
 
 from . import tracker as trk
-from .control_unit import ControlUnitTable, bram_usage, build_table, lookup
+from .control_unit import ControlUnitTable, bram_usage, build_table
 from .liveness import LiveSetTable, TrackerSpec, live_sets, plan_trackers
 from .placement import Placement, ResourceModel, assign_slices
 from .program import (
     ProgramError,
-    Region,
     ScheduledProgram,
     compile_program,
     execute_reference,
@@ -139,6 +161,24 @@ class SimulationReport:
         return self.final_state == self.reference_state
 
 
+@dataclass(frozen=True)
+class RunState:
+    """The scheduler's state at an event of the uninterrupted run.
+
+    A run that starts here instead of at cycle 0 copies the registers and
+    the trackers; the state itself is never stepped.
+    """
+    position: int
+    regs: Tuple[int, ...]
+    trackers: Dict[str, trk.TrackerState]
+    running: Tuple[str, ...]
+    done: Tuple[str, ...]
+    candidates: Tuple[str, ...]    # functions to check for a start next
+
+
+_POSITION = attrgetter("position")
+
+
 @dataclass
 class Prepared:
     """Everything an intermittent run needs, built once per program."""
@@ -150,7 +190,6 @@ class Prepared:
     placement: Placement
     table: ControlUnitTable
     compiled: object
-    regions: Dict[str, Region]
     reference: Dict[str, int]
     total_cycles: int
     result_ffs: Dict[str, int]
@@ -164,7 +203,21 @@ class Prepared:
     reload: Tuple[int, ...]
     written: Dict[str, Tuple[int, ...]]     # register indices each function writes
     results: Dict[str, Tuple[int, ...]]     # result register indices per function
+    final_regs: Tuple[Tuple[str, int], ...]  # (name, index) of every result register
     reg_slices: Tuple[Tuple[int, int], ...]  # (register index, SLICE mask) if placed
+    # The address table as SLICE bitmasks (``Placement.slice_mask``):
+    # ``row_masks[fid][s]`` is the row of status s, 0 for the zero row.
+    region_mask: int                        # the tracker region
+    row_masks: Dict[str, Tuple[int, ...]]
+    result_masks: Dict[str, int]
+    # (SLICE mask, flip-flops short of ffs_per_slice) of each partly filled SLICE
+    part_slices: Tuple[Tuple[int, int], ...]
+    brams: Dict[str, int]                   # BRAMs per policy
+    start: RunState                         # before the first cycle
+    first_completion: int                   # position of the first completion
+    # ``start`` and the state after each function completion, by position;
+    # built by the first ``run``.
+    states: Optional[Tuple[RunState, ...]] = None
 
 
 def makespan(program: ScheduledProgram) -> int:
@@ -208,12 +261,11 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
     bound = {**program.default_inputs, **config.inputs}
     reload = tuple(bound.get(reg, _CLOBBER) & ((1 << compiled.widths[i]) - 1)
                    for reg, i in reg_index.items())
-    reg_slices = tuple((reg_index[reg], placement.slice_mask(addrs))
-                       for reg, addrs in placement.regs.items())
+    slice_mask = placement.slice_mask
     return Prepared(
         program=program, config=config, resources=resources, specs=specs,
         live_tables=live_tables, placement=placement, table=table,
-        compiled=compiled, regions=regions,
+        compiled=compiled,
         reference=execute_reference(program, config.inputs),
         total_cycles=makespan(program), result_ffs=result_ffs, order=order,
         preds={fid: program.predecessors(fid) for fid in regions}, succs=succs,
@@ -222,7 +274,24 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
                  for fid, r in regions.items()},
         results={f.id: tuple(reg_index[reg] for reg in sorted(f.result_regs))
                  for f in program.functions},
-        reg_slices=reg_slices)
+        final_regs=tuple((reg, reg_index[reg])
+                         for reg in sorted(program.all_result_regs())),
+        reg_slices=tuple((reg_index[reg], slice_mask(addrs))
+                         for reg, addrs in placement.regs.items()),
+        region_mask=slice_mask(table.tracker_region),
+        row_masks={fid: tuple(slice_mask(table.row(fid, s))
+                              for s in range(table.status_rows[fid] + 1))
+                   for fid in regions},
+        result_masks={fid: slice_mask(table.result_row(fid)) for fid in regions},
+        part_slices=tuple((slice_mask((a,)), config.ffs_per_slice - n)
+                          for a, n in placement.slice_ffs.items()
+                          if n < config.ffs_per_slice),
+        brams={DFT: bram_usage(table), CP: len(program.functions), FULLCHIP: 0},
+        start=RunState(position=0, regs=tuple(compiled.new_regfile(bound)),
+                       trackers=trk.make_trackers(program, specs), running=(),
+                       done=(), candidates=order),
+        first_completion=min((specs[fid].max_cycles for fid in program.entry_ids),
+                             default=0))
 
 
 def gen_trace(total_cycles: int, outages: int, seed: int) -> PowerTrace:
@@ -239,25 +308,74 @@ def gen_trace(total_cycles: int, outages: int, seed: int) -> PowerTrace:
 def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
         config: Optional[SimConfig] = None,
         prepared: Optional[Prepared] = None) -> SimulationReport:
-    """One deterministic intermittent execution."""
+    """One deterministic intermittent execution.
+
+    It starts from the last state of the uninterrupted run at or before
+    the first outage point (the last one when there is no outage).
+    """
     prep = prepared or prepare(program, config)
+    first = trace.points[0] if trace.points else prep.total_cycles
+    if first < prep.first_completion:
+        return _execute(prep, policy, trace, prep.start)
+    states = prep.states
+    if states is None:
+        states = prep.states = _completion_states(prep)
+    return _execute(prep, policy, trace,
+                    states[bisect_right(states, first, key=_POSITION) - 1])
+
+
+def _completion_states(prep: Prepared) -> Tuple[RunState, ...]:
+    """``prep.start`` and the state after each completion of the
+    uninterrupted run, which steps once for this."""
+    states = [prep.start]
+    _execute(prep, Policy(DFT), PowerTrace((), 0, prep.total_cycles), prep.start,
+             states)
+    return tuple(states)
+
+
+def store_set(prep: Prepared, statuses: Mapping[str, int],
+              done: Sequence[str]) -> Tuple[int, int, Tuple[int, ...]]:
+    """What a ``dft`` outage stores: (FFs stored, SLICEs stored, indices of
+    the registers it loses), given the emitted statuses of the running
+    trackers and the finished functions.
+
+    The address table's rows as SLICE bitmasks stand in for
+    ``control_unit.lookup`` and ``Placement.occupied_ffs``, which
+    tests/test_control_unit.py holds it to.
+    """
+    stored = prep.region_mask
+    for fid, s in statuses.items():
+        if s:
+            masks = prep.row_masks[fid]
+            if not 0 < s < len(masks):
+                prep.table.row(fid, s)   # raises the corrupt-status error
+            stored |= masks[s]
+    for fid in done:
+        stored |= prep.result_masks[fid]
+    n = stored.bit_count()
+    ffs = n * prep.config.ffs_per_slice
+    for bit, short in prep.part_slices:
+        if stored & bit:
+            ffs -= short
+    gone = ~stored
+    return ffs, n, tuple([i for i, mask in prep.reg_slices if mask & gone])
+
+
+def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
+             states: Optional[List[RunState]] = None) -> SimulationReport:
+    """Run from ``state``, a state of the uninterrupted run at or before
+    the first outage point. Appends the state after each completion to
+    ``states`` if given."""
     cfg = prep.config
-    placement = prep.placement
-    table = prep.table
-
-    trackers = trk.make_trackers(program, prep.specs)
-    bound = dict(program.default_inputs)
-    bound.update(cfg.inputs)
-    regs = prep.compiled.new_regfile(bound)
-    reg_index = prep.compiled.reg_index
     reload = prep.reload
-
     preds = prep.preds
+    after = prep.after
     kernels = prep.compiled.regions
 
+    regs = list(state.regs)
+    trackers = {fid: tr.copy() for fid, tr in state.trackers.items()}
     pending = deque(trace.points)
-    position = 0
-    wall = 0
+    position = wall = state.position
     ff_stores = 0
     slice_events = 0
     store_cost = 0
@@ -271,9 +389,9 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
     # successors' head locks change then; a start waits for any outage
     # at the completion point to be handled first. The longest path of
     # work still to do starts at a running function or at a candidate.
-    candidates: Sequence[str] = prep.order
-    running: Dict[str, trk.TrackerState] = {}
-    done: List[str] = []
+    candidates: Sequence[str] = state.candidates
+    running: Dict[str, trk.TrackerState] = {fid: trackers[fid] for fid in state.running}
+    done: List[str] = list(state.done)
 
     while True:
         if pending and pending[0] == position:
@@ -286,31 +404,25 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
                 key = (tuple(emitted.items()), tuple(done))
                 hit = dft_stores.get(key)
                 if hit is None:
-                    stored = lookup(table, emitted)
-                    for fid in done:
-                        stored.update(table.result_row(fid))
-                    stored_mask = placement.slice_mask(stored)
-                    lost = tuple(i for i, mask in prep.reg_slices
-                                 if mask & ~stored_mask)
-                    hit = dft_stores[key] = (placement.occupied_ffs(stored),
-                                             len(stored), lost)
+                    hit = dft_stores[key] = store_set(prep, emitted, done)
                 ff_here, slices_here, lost = hit
                 store_cost += slices_here * policy.per_slice_cost
                 for i in lost:
                     regs[i] = reload[i]
-                rollback = max(trk.restore(running, boundary, prep.regions).values(),
+                rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
                                default=0)
             elif policy.name == FULLCHIP:
                 ff_here = grid_slices * cfg.ffs_per_slice
                 slices_here = grid_slices
                 store_cost += grid_slices * policy.per_slice_cost
-                rollback = max(trk.restore(running, boundary, prep.regions).values(),
+                rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
                                default=0)
             else:  # cp: discard in-flight states, resume at last boundary
-                rollback = max((tr.elapsed for tr in running.values()), default=0)
+                rollback = max((tr.spec.max_cycles - tr.remaining
+                                for tr in running.values()), default=0)
                 for tr in running.values():
-                    tr.count = 0
-                    tr.iter_ = 0
+                    tr.count = tr.iter_ = 0
+                    tr.remaining = tr.spec.max_cycles
                 survivors = {i for fid in done for i in prep.results[fid]}
                 for fid in (*running, *done):
                     for i in prep.written[fid]:
@@ -320,9 +432,9 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
             slice_events += slices_here
             outages.append(OutageRecord(point=point, rollback=rollback,
                                         ff_stored=ff_here, slices_stored=slices_here))
-            rest = [tr.remaining + prep.after[fid] for fid, tr in running.items()]
-            rest += [trackers[fid].remaining + prep.after[fid] for fid in candidates]
-            position = prep.total_cycles - max(rest)
+            position = prep.total_cycles - max(
+                [tr.remaining + after[fid] for fid, tr in running.items()]
+                + [trackers[fid].remaining + after[fid] for fid in candidates])
             continue
 
         for fid in candidates:
@@ -352,27 +464,25 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
             done += finished
             candidates = tuple(dict.fromkeys(
                 s for fid in finished for s in prep.succs[fid]))
-            if policy.name == CP:
-                # checkpoint fires at every completion, power or not
-                for fid in finished:
-                    ff_stores += prep.result_ffs[fid]
-                    store_cost += len(prep.results[fid]) * policy.per_word_cost
+            if states is not None:
+                states.append(RunState(
+                    position=position, regs=tuple(regs),
+                    trackers={fid: tr.copy() for fid, tr in trackers.items()},
+                    running=tuple(running), done=tuple(done), candidates=candidates))
 
-    final = {reg: regs[reg_index[reg]]
-             for reg in sorted(program.all_result_regs())}
-    if policy.name == DFT:
-        brams = bram_usage(table)
-    elif policy.name == CP:
-        brams = len(program.functions)
-    else:
-        brams = 0
+    if policy.name == CP:
+        # every function completes once per run, and its checkpoint fires
+        # then, power or not
+        ff_stores = sum(prep.result_ffs.values())
+        store_cost = sum(map(len, prep.results.values())) * policy.per_word_cost
     return SimulationReport(
         policy=policy.name, trace=trace,
         total_rollback=sum(o.rollback for o in outages),
         per_outage_rollback=tuple(o.rollback for o in outages),
-        ff_stores=ff_stores, bram_count=brams,
+        ff_stores=ff_stores, bram_count=prep.brams[policy.name],
         slice_store_events=slice_events, store_cost_cycles=store_cost,
-        wall_progress_cycles=wall, final_state=final,
+        wall_progress_cycles=wall,
+        final_state={reg: regs[i] for reg, i in prep.final_regs},
         reference_state=prep.reference, outages=tuple(outages))
 
 

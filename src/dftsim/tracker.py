@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping
 
-from .liveness import TrackerSpec
-from .program import ProgramError, Region
+from .liveness import LiveSetTable, TrackerSpec
+from .program import ProgramError
 
 IDLE = "idle"
 RUNNING = "running"
@@ -42,21 +42,22 @@ class TrackerState:
     phase: str = IDLE
     lock_head: bool = False
     lock_tail: bool = False
-    status: int = 0         # last emitted status
+    # Plain attributes, because the scheduler reads them on every event:
+    # the counter wrap bound and the body cycles left until the function
+    # completes. Every method that moves the counter keeps ``remaining``
+    # equal to ``spec.max_cycles - (iter_ * body_length + count)``.
+    body_length: int = field(init=False)
+    remaining: int = field(init=False)
 
-    @property
-    def body_length(self) -> int:
-        return self.spec.body_length
+    def __post_init__(self) -> None:
+        self.body_length = self.spec.body_length
+        self.remaining = self.spec.max_cycles - self.iter_ * self.body_length - self.count
 
-    @property
-    def elapsed(self) -> int:
-        """Completed body cycles since start."""
-        return self.iter_ * self.body_length + self.count
-
-    @property
-    def remaining(self) -> int:
-        """Body cycles left until the function completes."""
-        return self.spec.max_cycles - self.elapsed
+    def copy(self) -> "TrackerState":
+        """An independent copy of every field."""
+        new = object.__new__(TrackerState)
+        new.__dict__.update(self.__dict__)
+        return new
 
     def start(self) -> None:
         if self.phase != IDLE:
@@ -65,20 +66,21 @@ class TrackerState:
         self.lock_head = True
         self.count = 0
         self.iter_ = 0
+        self.remaining = self.spec.max_cycles
 
     def advance(self, cycles: int) -> None:
         """Complete ``cycles`` body cycles, wrapping the counter at each
         iteration seam and terminating after the last iteration."""
         if self.phase != RUNNING:
             raise TrackerContractError(f"advance on {self.phase} tracker {self.spec.function_id}")
-        total = self.elapsed + cycles
-        if total > self.spec.iterations * self.body_length:
+        if cycles > self.remaining:
             raise TrackerContractError("advance past function end")
-        self.iter_, self.count = divmod(total, self.body_length)
-        if self.iter_ == self.spec.iterations:
+        self.remaining -= cycles
+        wraps, self.count = divmod(self.count + cycles, self.body_length)
+        self.iter_ += wraps
+        if not self.remaining:
             self.phase = DONE
             self.lock_tail = True
-            self.status = 0
 
     def boundary_status(self) -> int:
         """Completed-cycle encoding of the current boundary (0 = nothing)."""
@@ -124,35 +126,36 @@ def snapshot(trackers: Mapping[str, TrackerState]) -> Dict[str, int]:
         s = tr.boundary_status()
         if s and tr.spec.mode != "tracked":
             s = 1
-        tr.status = s
         out[fid] = s
     return out
 
 
 def restore(trackers: Mapping[str, TrackerState], statuses: Mapping[str, int],
-            regions: Mapping[str, Region]) -> Dict[str, int]:
+            live_tables: Mapping[str, LiveSetTable]) -> Dict[str, int]:
     """Roll running trackers back to their resume points.
 
     ``statuses`` must be boundary encodings (not the store-all row alias).
     Phase, iteration and locks are recovered as stored; a running
-    tracker's count moves back so every operation in flight at the
-    interruption re-launches. Returns the per-function rollback cycles.
+    tracker's count moves back to the cycle after the resume point of its
+    last completed cycle (``LiveSetTable.resume``), so every operation in
+    flight at the interruption re-launches. Returns the per-function
+    rollback cycles.
 
     Raises StatusCorruptionError when a status exceeds the counter range.
     """
-    from .liveness import resume_point
-
     rollback: Dict[str, int] = {}
     for fid, tr in trackers.items():
         s = statuses.get(fid, 0)
-        if s > tr.body_length:
+        L = tr.body_length
+        if s > L:
             raise StatusCorruptionError(
-                f"status {s} of {fid} exceeds body length {tr.body_length}")
+                f"status {s} of {fid} exceeds body length {L}")
         if tr.phase != RUNNING or s == 0:
             rollback[fid] = 0
             continue
         n = s - 1
-        r = resume_point(regions[fid], n)
-        tr.count = (r + 1) % tr.body_length
+        r = live_tables[fid].resume[n]
+        tr.count = (r + 1) % L
+        tr.remaining = tr.spec.max_cycles - tr.iter_ * L - tr.count
         rollback[fid] = n - r
     return rollback

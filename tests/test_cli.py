@@ -112,3 +112,27 @@ def test_normalized_program_validated_once(command, two_loop_path, tmp_path, mon
     assert code == cli.EXIT_OK
     # analyze also validates the raw program, before normalizing it
     assert normalized == ([False, True] if command == "analyze" else [True])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--program", "/nonexistent/p.json"],
+     "cannot read program /nonexistent/p.json: No such file or directory"),
+    (["simulate", "--preset", "nosuch"], "unknown preset 'nosuch'"),
+    (["compare", "--preset", "global", "--rounds", "0"], "bad --rounds 0"),
+    (["analyze", "--preset", "struct", "--preset", "float"],
+     "analyze takes exactly one --program or --preset"),
+], ids=("missing-file", "unknown-preset", "zero-rounds", "two-sources"))
+def test_bad_arguments_exit_config(argv, message, tmp_path, capsys):
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_binary_program_file_exits_validation(tmp_path, capsys):
+    path = tmp_path / "blob.json"
+    path.write_bytes(b"{\xb7\x00")
+    code = cli.main(["simulate", "--program", str(path), "--out", str(tmp_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"{path}: not UTF-8 text (byte 1)\n"

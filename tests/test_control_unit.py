@@ -1,9 +1,11 @@
-"""Address table: the status -> SLICE lookup and the binary layout."""
+"""Address table: the status -> SLICE lookup, its bitmask form in
+``powersim.store_set``, and the binary layout."""
 
 import struct
 
 import pytest
 
+from dftsim import benchgen, powersim, transform
 from dftsim.control_unit import ControlUnitError, ControlUnitTable, lookup, serialize_table
 from dftsim.placement import SliceAddress as A
 
@@ -44,3 +46,34 @@ def test_lookup_stores_the_tracker_region_and_nonzero_rows():
     assert lookup(table, {"f": 1}) == {A(300, 2), A(0, 0), A(1, 0)}
     with pytest.raises(ControlUnitError):
         lookup(table, {"f": 2})
+
+
+@pytest.mark.parametrize("name", ("float", "global", "struct"))
+def test_store_set_masks_match_the_lookup(name):
+    # every row of every function, alone, with no function finished and
+    # with every other one finished
+    prep = powersim.prepare(transform.normalize(benchgen.preset_program(name)))
+    table, placement = prep.table, prep.placement
+    index = prep.compiled.reg_index
+    for fid in prep.order:
+        others = tuple(f for f in prep.order if f != fid)
+        for status in range(table.status_rows[fid] + 1):
+            for done in ((), others):
+                stored = lookup(table, {fid: status})
+                for f in done:
+                    stored.update(table.result_row(f))
+                lost = tuple(index[reg] for reg, addrs in placement.regs.items()
+                             if not stored.issuperset(addrs))
+                want = (placement.occupied_ffs(stored), len(stored), lost)
+                assert powersim.store_set(prep, {fid: status}, done) == want, (
+                    fid, status, done)
+
+
+@pytest.mark.parametrize("status", (-1, "past"))
+def test_store_set_rejects_a_corrupt_status(status):
+    prep = powersim.prepare(transform.normalize(benchgen.preset_program("float")))
+    fid = prep.order[0]
+    if status == "past":
+        status = prep.table.status_rows[fid] + 1
+    with pytest.raises(ControlUnitError, match=f"corrupt status {status} for {fid}"):
+        powersim.store_set(prep, {fid: status}, ())

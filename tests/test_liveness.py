@@ -124,6 +124,7 @@ def test_restore_rolls_back_to_the_resume_point(region, resume):
             continue
         status = trk.snapshot({"f": tr})["f"]
         assert status == n + 1
-        rollback = trk.restore({"f": tr}, {"f": status}, {"f": region})
+        rollback = trk.restore({"f": tr}, {"f": status}, {"f": live_sets(region)})
         assert rollback == {"f": n - resume[n]}
         assert tr.count == (resume[n] + 1) % L
+        assert tr.remaining == tr.spec.max_cycles - tr.iter_ * L - tr.count

@@ -103,10 +103,12 @@ def test_fork_join_multi_outage(fork_join, policy, k, seed):
     assert report.consistent
 
 
-def test_trackers_start_only_on_completions(fork_join, monkeypatch):
+def test_trackers_start_only_on_completions(monkeypatch):
     # one check per function at the start of the run, then one per
     # successor of each completing function: A starts B and C, each of B
-    # and C checks D
+    # and C checks D. The first run on a fresh Prepared steps the
+    # uninterrupted run for its state table; a k=0 run then starts after
+    # the last completion and checks none.
     calls = []
 
     def counting(tracker, tails=()):
@@ -115,9 +117,14 @@ def test_trackers_start_only_on_completions(fork_join, monkeypatch):
 
     can_start = trk.can_start
     monkeypatch.setattr(trk, "can_start", counting)
-    trace = powersim.gen_trace(fork_join.total_cycles, 0, 0)
-    powersim.run(fork_join.program, POLICIES[0], trace, prepared=fork_join)
+    prep = powersim.prepare(fork_join_program())
+    trace = powersim.gen_trace(prep.total_cycles, 0, 0)
+    powersim.run(prep.program, POLICIES[0], trace, prepared=prep)
     assert calls == ["A", "B", "C", "D", "B", "C", "D", "D"]
+    calls.clear()
+    report = powersim.run(prep.program, POLICIES[0], trace, prepared=prep)
+    assert calls == []
+    assert report.consistent
 
 
 def test_one_kernel_call_per_function_without_outages(monkeypatch):
