@@ -7,13 +7,18 @@ cover the paper's compare grid (six presets, three policies, k in
 parallel program in which two trackers run at once, and dense traces (an
 outage every five progress cycles) on small presets, that parallel
 program and a fork/join program, so that outages repeat the same tracker
-statuses and finished functions many times within one run.
+statuses and finished functions many times within one run. The
+``analyze`` artifacts of every preset are pinned too, under the default
+configuration and under 16 flip-flops per SLICE on a 37-wide grid, whose
+SLICE rows wrap so that address order differs from packing order.
 """
 
 import hashlib
 import json
 
-from dftsim import benchgen, powersim, transform
+import pytest
+
+from dftsim import benchgen, cli, powersim, transform
 from dftsim.program import ScheduledProgram
 from test_powersim import fork_join_program
 
@@ -24,6 +29,12 @@ GRID_DIGEST = "b73009773e311f151e70a637d8c7d98d20fa5a8bc415c9eda7050013ac75128f"
 SWEEP_DIGEST = "34cdc539736718320d42620f20ca93a9800808a6cf0765095a857c047e9b5e3c"
 DENSE_DIGEST = "c562c321e7ef3a991844d420e51451906802c74965c070cdfd7fbd597f24bfa4"
 DENSE_PRESETS = ("float", "global", "struct")
+ANALYZE_ARTIFACTS = ("cu_table.bin", "placement.txt", "resources.json",
+                     "livesets.json", "trackers.json", "normalized.json")
+ANALYZE_DIGESTS = {
+    ("8", "100x100"): "23530b60cbea3ed0633933c492fa3f8da8e0b06d19422c4d0479c15b20694aab",
+    ("16", "37x50"): "466f6d7cbfd3a202436f4c07dd718ff014f30d62e9d4f516b16e75dc55644c45",
+}
 
 
 def report_row(report, k):
@@ -108,3 +119,15 @@ def test_two_chain_sweep_golden():
 
 def test_dense_outage_golden():
     assert digest(dense_rows()) == DENSE_DIGEST
+
+
+@pytest.mark.parametrize("ffs_per_slice,grid", sorted(ANALYZE_DIGESTS))
+def test_analyze_artifacts_golden(ffs_per_slice, grid, tmp_path):
+    h = hashlib.sha256()
+    for name in benchgen.PRESETS:
+        assert cli.main(["analyze", "--preset", name, "--ffs-per-slice", ffs_per_slice,
+                         "--grid", grid, "--out", str(tmp_path)]) == cli.EXIT_OK
+        for artifact in ANALYZE_ARTIFACTS:
+            h.update(f"{name}.{artifact}\n".encode())
+            h.update((tmp_path / f"{name}.{artifact}").read_bytes())
+    assert h.hexdigest() == ANALYZE_DIGESTS[(ffs_per_slice, grid)]
