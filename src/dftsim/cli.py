@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import benchgen, powersim, transform
-from .control_unit import bram_usage, serialize_table
+from .control_unit import serialize_table
 from .liveness import TRACKED
 from .program import ParseError, ProgramError, parse_program, serialize_program, validate
 
@@ -166,8 +166,8 @@ def cmd_analyze(args) -> int:
     summary = {
         "benchmark": name,
         "states": len(program.functions),
-        "bram_dft": bram_usage(prep.table),
-        "bram_cp": len(program.functions),
+        "bram_dft": prep.brams[powersim.DFT],
+        "bram_cp": prep.brams[powersim.CP],
         "table_bits": prep.table.total_bits,
         "slices_used": len(prep.placement.slice_ffs),
         "total_cycles": prep.total_cycles,
@@ -278,7 +278,7 @@ def cmd_compare(args) -> int:
         for name, source in sources:
             program, prep = _worker_prep(source, grid, args.ffs_per_slice)
             w.writerow([name, len(program.functions),
-                        bram_usage(prep.table), len(program.functions)])
+                        prep.brams[powersim.DFT], prep.brams[powersim.CP]])
     print(f"wrote rollback.csv, ffstores.csv, bram.csv to {out}")
     return EXIT_OK
 

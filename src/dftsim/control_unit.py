@@ -9,6 +9,10 @@ resume point of completed-cycle boundary ``s``. Store-all functions get a
 single row with all of their SLICEs. Each tracker also carries a result
 row used to hold a finished function's outputs until the program ends.
 
+Every SLICE set here (the tracker region and each row) is a SLICE mask in
+``placement``'s convention: bit ``i`` is SLICE ``(i % grid_w, i // grid_w)``.
+The binary form lists each row's SLICEs sorted by ``(x, y)``.
+
 Storage accounting treats the table as a packed address pool plus a
 (start, length) directory, 32 bits per entry either way; tables whose
 widest tracked counter stays below 8 bits are folded into logic and cost
@@ -17,23 +21,18 @@ no BRAM, which is what synthesis does to small lookup structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 import struct
-from operator import attrgetter
 
 from .liveness import LiveSetTable, TrackerSpec, TRACKED
-from .placement import Placement, SliceAddress
+from .placement import Placement, slice_xy
 from .program import ProgramError, ScheduledProgram
 
 BRAM_BITS = 18432          # one block RAM holds 18 Kb
 ENTRY_BITS = 32            # two 16-bit coordinates per address
 DIRECTORY_BITS = 32        # 16-bit start + 16-bit length per row
-
-# Sort key giving SliceAddress's own (x, y) order, compared in C instead of
-# through the generated ``__lt__``.
-_XY = attrgetter("x", "y")
 
 
 class ControlUnitError(ProgramError):
@@ -46,22 +45,22 @@ class UnplacedRegisterError(ControlUnitError):
 
 @dataclass(frozen=True)
 class ControlUnitTable:
-    tracker_region: Tuple[SliceAddress, ...]
-    offsets: Dict[str, int]                      # tracker -> base row index
-    rows: Tuple[Tuple[SliceAddress, ...], ...]   # global row list
-    status_rows: Dict[str, int]                  # tracker -> highest valid status
-    result_rows: Dict[str, int]                  # tracker -> result-hold row index
-    table_width: int                             # widest tracked counter, 0 if none
-    entry_width: int = ENTRY_BITS
+    tracker_region: int              # SLICE mask
+    offsets: Dict[str, int]          # tracker -> base row index
+    rows: Tuple[int, ...]            # global row list, SLICE masks
+    status_rows: Dict[str, int]      # tracker -> highest valid status
+    result_rows: Dict[str, int]      # tracker -> result-hold row index
+    table_width: int                 # widest tracked counter, 0 if none
+    grid_w: int                      # grid width of the SLICE masks
 
-    def row(self, fid: str, status: int) -> Tuple[SliceAddress, ...]:
+    def row(self, fid: str, status: int) -> int:
         hi = self.status_rows[fid]
         if not 0 <= status <= hi:
             raise ControlUnitError(
                 f"corrupt status {status} for {fid}: row range is [0, {hi}]")
         return self.rows[self.offsets[fid] + status]
 
-    def result_row(self, fid: str) -> Tuple[SliceAddress, ...]:
+    def result_row(self, fid: str) -> int:
         return self.rows[self.result_rows[fid]]
 
     @property
@@ -70,11 +69,11 @@ class ControlUnitTable:
 
     @property
     def pool_entries(self) -> int:
-        return len(self.tracker_region) + sum(len(r) for r in self.rows)
+        return self.tracker_region.bit_count() + sum(r.bit_count() for r in self.rows)
 
     @property
     def total_bits(self) -> int:
-        return DIRECTORY_BITS * self.n_rows + self.entry_width * self.pool_entries
+        return DIRECTORY_BITS * self.n_rows + ENTRY_BITS * self.pool_entries
 
 
 def build_table(program: ScheduledProgram, specs: Mapping[str, TrackerSpec],
@@ -88,19 +87,20 @@ def build_table(program: ScheduledProgram, specs: Mapping[str, TrackerSpec],
     its result registers.
     """
 
-    def slices_of(regs) -> Tuple[SliceAddress, ...]:
-        out = set()
+    def slices_of(regs) -> int:
+        out = 0
         for reg in regs:
-            addrs = placement.regs.get(reg)
-            if addrs is None:
+            mask = placement.regs.get(reg)
+            if mask is None:
                 raise UnplacedRegisterError(f"unplaced register {reg}")
-            out.update(addrs)
-        return tuple(sorted(out, key=_XY))
+            out |= mask
+        return out
 
-    region_slices = sorted({a for addrs in placement.trackers.values() for a in addrs},
-                           key=_XY)
+    tracker_region = 0
+    for mask in placement.trackers.values():
+        tracker_region |= mask
 
-    rows: List[Tuple[SliceAddress, ...]] = []
+    rows: List[int] = []
     offsets: Dict[str, int] = {}
     status_rows: Dict[str, int] = {}
     result_rows: Dict[str, int] = {}
@@ -109,7 +109,7 @@ def build_table(program: ScheduledProgram, specs: Mapping[str, TrackerSpec],
         spec = specs[f.id]
         table = live_tables[f.id]
         offsets[f.id] = len(rows)
-        rows.append(())  # zero row: no action
+        rows.append(0)  # zero row: no action
         if spec.mode == TRACKED:
             width = max(width, spec.width)
             for status in range(1, spec.body_length + 1):
@@ -124,20 +124,19 @@ def build_table(program: ScheduledProgram, specs: Mapping[str, TrackerSpec],
         rows.append(slices_of(f.result_regs))
 
     return ControlUnitTable(
-        tracker_region=tuple(region_slices),
+        tracker_region=tracker_region,
         offsets=offsets, rows=tuple(rows),
         status_rows=status_rows, result_rows=result_rows,
-        table_width=width)
+        table_width=width, grid_w=placement.grid_w)
 
 
-def lookup(table: ControlUnitTable, statuses: Mapping[str, int]) -> Set[SliceAddress]:
-    """SLICEs to store for a snapshot: tracker region plus each nonzero
-    tracker's row, as a new set that the caller may extend."""
-    out = set(table.tracker_region)
+def lookup(table: ControlUnitTable, statuses: Mapping[str, int]) -> int:
+    """SLICE mask to store for a snapshot: tracker region plus each
+    nonzero tracker's row."""
+    out = table.tracker_region
     for fid, status in statuses.items():
-        if status == 0:
-            continue
-        out.update(table.row(fid, status))
+        if status:
+            out |= table.row(fid, status)
     return out
 
 
@@ -157,16 +156,17 @@ def serialize_table(table: ControlUnitTable) -> bytes:
 
     Header: u32 row count (tracker region first), u32 pool entry count.
     Directory: per row, u16 pool start + u16 length.
-    Pool: per address, u16 x + u16 y.
+    Pool: per address, u16 x + u16 y, each row sorted by (x, y).
     """
-    pool: List[SliceAddress] = []
+    pool: List[Tuple[int, int]] = []
     directory: List[Tuple[int, int]] = []
     for row in (table.tracker_region,) + table.rows:
-        directory.append((len(pool), len(row)))
-        pool.extend(row)
+        addrs = sorted(slice_xy(row, table.grid_w))
+        directory.append((len(pool), len(addrs)))
+        pool.extend(addrs)
     out = [struct.pack("<II", len(directory), len(pool))]
     for start, length in directory:
         out.append(struct.pack("<HH", start, length))
-    for addr in pool:
-        out.append(struct.pack("<HH", addr.x, addr.y))
+    for x, y in pool:
+        out.append(struct.pack("<HH", x, y))
     return b"".join(out)

@@ -7,12 +7,18 @@ function-by-function in (function id, register id) order, filling SLICEs
 in row-major grid order; tracker flip-flops go to dedicated SLICEs after
 all program registers, because the tracker region is stored wholesale on
 every outage and must not drag program registers along.
+
+A set of SLICEs is an integer mask: bit ``i`` is SLICE
+``(i % grid_w, i // grid_w)``, which is also the order in which the packer
+fills them. So the SLICEs of one register or tracker are a run of
+consecutive bits, and a union of SLICE sets is an OR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Tuple
 
 from .program import ProgramError, ScheduledProgram
 
@@ -45,15 +51,6 @@ class PlacementOverflow(ProgramError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SliceAddress:
-    x: int
-    y: int
-
-    def __str__(self) -> str:
-        return f"X{self.x}Y{self.y}"
-
-
 @dataclass(frozen=True)
 class ResourceModel:
     chip_ffs: int = CHIP_FFS
@@ -76,37 +73,47 @@ class ResourceModel:
         return _CU_TABLE[width]
 
 
+def slice_xy(mask: int, grid_w: int) -> List[Tuple[int, int]]:
+    """(x, y) of every SLICE in a mask, in ascending bit order."""
+    bits = bin(mask)[:1:-1]  # bit 0 first
+    return [(i % grid_w, i // grid_w) for i, b in enumerate(bits) if b == "1"]
+
+
 @dataclass
 class Placement:
-    """Flip-flop hosting of every register and every tracker."""
+    """Flip-flop hosting of every register and every tracker, as SLICE
+    masks; ``slice_ffs`` maps each occupied SLICE's index to the
+    flip-flops used in it."""
 
     ffs_per_slice: int
     grid_w: int
     grid_h: int
-    regs: Dict[str, Tuple[SliceAddress, ...]] = field(default_factory=dict)
-    trackers: Dict[str, Tuple[SliceAddress, ...]] = field(default_factory=dict)
-    slice_ffs: Dict[SliceAddress, int] = field(default_factory=dict)
+    regs: Dict[str, int] = field(default_factory=dict)
+    trackers: Dict[str, int] = field(default_factory=dict)
+    slice_ffs: Dict[int, int] = field(default_factory=dict)
 
-    def occupied_ffs(self, slices) -> int:
-        return sum(self.slice_ffs.get(s, 0) for s in slices)
+    @cached_property
+    def _shortfalls(self) -> Tuple[Tuple[int, int], ...]:
+        """(SLICE bit, flip-flops short of ffs_per_slice) of each partly
+        filled SLICE."""
+        full = self.ffs_per_slice
+        return tuple((1 << i, full - n) for i, n in self.slice_ffs.items() if n < full)
 
-    def slice_mask(self, slices) -> int:
-        """Bitmask of SLICEs: bit y * grid_w + x, the packing order."""
-        w = self.grid_w
-        mask = 0
-        for a in slices:
-            mask |= 1 << (a.y * w + a.x)
-        return mask
+    def occupied_ffs(self, mask: int) -> int:
+        """Flip-flops used in the SLICEs of a mask of occupied SLICEs."""
+        ffs = mask.bit_count() * self.ffs_per_slice
+        for bit, short in self._shortfalls:
+            if mask & bit:
+                ffs -= short
+        return ffs
 
     def dump(self) -> str:
         """Text form for diffing: one line per register, then per tracker."""
         lines = []
-        for reg in sorted(self.regs):
-            addrs = ",".join(str(a) for a in self.regs[reg])
-            lines.append(f"reg {reg} -> {addrs}")
-        for fid in sorted(self.trackers):
-            addrs = ",".join(str(a) for a in self.trackers[fid])
-            lines.append(f"tracker {fid} -> {addrs}")
+        for kind, masks in (("reg", self.regs), ("tracker", self.trackers)):
+            for name in sorted(masks):
+                addrs = ",".join(f"X{x}Y{y}" for x, y in slice_xy(masks[name], self.grid_w))
+                lines.append(f"{kind} {name} -> {addrs}")
         return "\n".join(lines) + "\n"
 
 
@@ -117,21 +124,16 @@ class _Packer:
         self.grid_h = grid_h
         self.slice_idx = 0
         self.used_in_slice = 0
-        self.fills: Dict[SliceAddress, int] = {}
-
-    def _addr(self, idx: int) -> SliceAddress:
-        if idx >= self.grid_w * self.grid_h:
-            raise PlacementOverflow(
-                f"placement overflow: grid {self.grid_w}x{self.grid_h} exhausted")
-        return SliceAddress(x=idx % self.grid_w, y=idx // self.grid_w)
+        self.fills: Dict[int, int] = {}
 
     def fresh_slice(self) -> None:
         if self.used_in_slice > 0:
             self.slice_idx += 1
             self.used_in_slice = 0
 
-    def place(self, n_ffs: int) -> Tuple[SliceAddress, ...]:
-        addrs = []
+    def place(self, n_ffs: int) -> int:
+        """Mask of the SLICEs that take the next ``n_ffs`` flip-flops."""
+        mask = 0
         remaining = n_ffs
         while remaining > 0:
             room = self.ffs_per_slice - self.used_in_slice
@@ -139,13 +141,16 @@ class _Packer:
                 self.slice_idx += 1
                 self.used_in_slice = 0
                 room = self.ffs_per_slice
+            idx = self.slice_idx
+            if idx >= self.grid_w * self.grid_h:
+                raise PlacementOverflow(
+                    f"placement overflow: grid {self.grid_w}x{self.grid_h} exhausted")
             take = min(room, remaining)
-            addr = self._addr(self.slice_idx)
-            addrs.append(addr)
-            self.fills[addr] = self.fills.get(addr, 0) + take
+            mask |= 1 << idx
+            self.fills[idx] = self.fills.get(idx, 0) + take
             self.used_in_slice += take
             remaining -= take
-        return tuple(addrs)
+        return mask
 
 
 def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int = 8,
@@ -163,7 +168,7 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int 
     packer = _Packer(ffs_per_slice, grid[0], grid[1])
     model = ResourceModel()
 
-    placed: Dict[str, Tuple[SliceAddress, ...]] = {}
+    placed: Dict[str, int] = {}
     writer_fn = {}
     for f in program.functions:
         for op in f.region.ops:
@@ -179,7 +184,7 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int 
                 placed[reg] = packer.place(region.reg_widths.get(reg, 32))
 
     packer.fresh_slice()  # trackers never share SLICEs with registers
-    trackers: Dict[str, Tuple[SliceAddress, ...]] = {}
+    trackers: Dict[str, int] = {}
     for fid in sorted(specs):
         spec = specs[fid]
         if spec.mode == "tracked":

@@ -49,10 +49,10 @@ Policies:
   so that any protocol gap breaks crash consistency loudly. The stored
   set depends only on the emitted statuses of the running trackers and
   on the finished functions, so each run resolves it once per distinct
-  (statuses, finished functions) key, in ``store_set``: ``prepare`` holds
-  the address table's rows and the finished functions' result rows as
-  SLICE bitmasks (one bit per SLICE, see ``Placement.slice_mask``), so
-  the stored SLICEs are an OR of integers, their bitmask against each
+  (statuses, finished functions) key, in ``store_set``: the address
+  table's rows and the placement are SLICE masks (one bit per SLICE, see
+  ``placement``), so the stored SLICEs are ``control_unit.lookup`` OR'd
+  with the finished functions' result rows, the stored mask against each
   placed register's mask gives the lost registers, and a repeated key
   only copies ``Prepared.reload`` into those registers.
 * ``cp``    - store each state's result registers to its dedicated BRAM at
@@ -85,7 +85,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import random
 
 from . import tracker as trk
-from .control_unit import ControlUnitTable, bram_usage, build_table
+from .control_unit import ControlUnitTable, bram_usage, build_table, lookup
 from .liveness import LiveSetTable, TrackerSpec, live_sets, plan_trackers
 from .placement import Placement, ResourceModel, assign_slices
 from .program import (
@@ -192,7 +192,7 @@ class Prepared:
     compiled: object
     reference: Dict[str, int]
     total_cycles: int
-    result_ffs: Dict[str, int]
+    result_ffs: int                         # result-register FFs summed over functions
     order: Tuple[str, ...]                  # topological order
     preds: Dict[str, Tuple[str, ...]]
     succs: Dict[str, Tuple[str, ...]]
@@ -205,13 +205,6 @@ class Prepared:
     results: Dict[str, Tuple[int, ...]]     # result register indices per function
     final_regs: Tuple[Tuple[str, int], ...]  # (name, index) of every result register
     reg_slices: Tuple[Tuple[int, int], ...]  # (register index, SLICE mask) if placed
-    # The address table as SLICE bitmasks (``Placement.slice_mask``):
-    # ``row_masks[fid][s]`` is the row of status s, 0 for the zero row.
-    region_mask: int                        # the tracker region
-    row_masks: Dict[str, Tuple[int, ...]]
-    result_masks: Dict[str, int]
-    # (SLICE mask, flip-flops short of ffs_per_slice) of each partly filled SLICE
-    part_slices: Tuple[Tuple[int, int], ...]
     brams: Dict[str, int]                   # BRAMs per policy
     start: RunState                         # before the first cycle
     first_completion: int                   # position of the first completion
@@ -243,13 +236,6 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
     placement = assign_slices(program, specs, config.ffs_per_slice, config.grid)
     table = build_table(program, specs, placement, live_tables)
     regions = {f.id: f.region for f in program.functions}
-    widths = {}
-    for f in program.functions:
-        widths.update(f.region.reg_widths)
-    result_ffs = {
-        f.id: sum(widths.get(reg, 32) for reg in f.result_regs)
-        for f in program.functions
-    }
     order = tuple(program.topo_order())
     succs = {fid: program.successors(fid) for fid in regions}
     after: Dict[str, int] = {}
@@ -261,31 +247,24 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
     bound = {**program.default_inputs, **config.inputs}
     reload = tuple(bound.get(reg, _CLOBBER) & ((1 << compiled.widths[i]) - 1)
                    for reg, i in reg_index.items())
-    slice_mask = placement.slice_mask
+    results = {f.id: tuple(reg_index[reg] for reg in sorted(f.result_regs))
+               for f in program.functions}
     return Prepared(
         program=program, config=config, resources=resources, specs=specs,
         live_tables=live_tables, placement=placement, table=table,
         compiled=compiled,
         reference=execute_reference(program, config.inputs),
-        total_cycles=makespan(program), result_ffs=result_ffs, order=order,
+        total_cycles=makespan(program),
+        result_ffs=sum(compiled.widths[i] for rs in results.values() for i in rs),
+        order=order,
         preds={fid: program.predecessors(fid) for fid in regions}, succs=succs,
         after=after, reload=reload,
         written={fid: tuple(reg_index[reg] for reg in r.written_regs())
                  for fid, r in regions.items()},
-        results={f.id: tuple(reg_index[reg] for reg in sorted(f.result_regs))
-                 for f in program.functions},
+        results=results,
         final_regs=tuple((reg, reg_index[reg])
                          for reg in sorted(program.all_result_regs())),
-        reg_slices=tuple((reg_index[reg], slice_mask(addrs))
-                         for reg, addrs in placement.regs.items()),
-        region_mask=slice_mask(table.tracker_region),
-        row_masks={fid: tuple(slice_mask(table.row(fid, s))
-                              for s in range(table.status_rows[fid] + 1))
-                   for fid in regions},
-        result_masks={fid: slice_mask(table.result_row(fid)) for fid in regions},
-        part_slices=tuple((slice_mask((a,)), config.ffs_per_slice - n)
-                          for a, n in placement.slice_ffs.items()
-                          if n < config.ffs_per_slice),
+        reg_slices=tuple((reg_index[reg], mask) for reg, mask in placement.regs.items()),
         brams={DFT: bram_usage(table), CP: len(program.functions), FULLCHIP: 0},
         start=RunState(position=0, regs=tuple(compiled.new_regfile(bound)),
                        trackers=trk.make_trackers(program, specs), running=(),
@@ -338,27 +317,14 @@ def store_set(prep: Prepared, statuses: Mapping[str, int],
     """What a ``dft`` outage stores: (FFs stored, SLICEs stored, indices of
     the registers it loses), given the emitted statuses of the running
     trackers and the finished functions.
-
-    The address table's rows as SLICE bitmasks stand in for
-    ``control_unit.lookup`` and ``Placement.occupied_ffs``, which
-    tests/test_control_unit.py holds it to.
     """
-    stored = prep.region_mask
-    for fid, s in statuses.items():
-        if s:
-            masks = prep.row_masks[fid]
-            if not 0 < s < len(masks):
-                prep.table.row(fid, s)   # raises the corrupt-status error
-            stored |= masks[s]
+    table = prep.table
+    stored = lookup(table, statuses)
     for fid in done:
-        stored |= prep.result_masks[fid]
-    n = stored.bit_count()
-    ffs = n * prep.config.ffs_per_slice
-    for bit, short in prep.part_slices:
-        if stored & bit:
-            ffs -= short
+        stored |= table.result_row(fid)
     gone = ~stored
-    return ffs, n, tuple([i for i, mask in prep.reg_slices if mask & gone])
+    return (prep.placement.occupied_ffs(stored), stored.bit_count(),
+            tuple([i for i, mask in prep.reg_slices if mask & gone]))
 
 
 def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
@@ -473,7 +439,7 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     if policy.name == CP:
         # every function completes once per run, and its checkpoint fires
         # then, power or not
-        ff_stores = sum(prep.result_ffs.values())
+        ff_stores = prep.result_ffs
         store_cost = sum(map(len, prep.results.values())) * policy.per_word_cost
     return SimulationReport(
         policy=policy.name, trace=trace,

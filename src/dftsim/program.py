@@ -129,13 +129,6 @@ class ScheduledProgram:
     def is_normalized(self) -> bool:
         return not self.main_sequence and all(len(f.regions) == 1 for f in self.functions)
 
-    def reg_width(self, reg: str) -> int:
-        for f in self.functions:
-            for r in f.regions:
-                if reg in r.reg_widths:
-                    return r.reg_widths[reg]
-        return 32
-
     def all_result_regs(self) -> frozenset:
         out = set()
         for f in self.functions:
