@@ -10,7 +10,10 @@ program and a fork/join program, so that outages repeat the same tracker
 statuses and finished functions many times within one run. The
 ``analyze`` artifacts of every preset are pinned too, under the default
 configuration and under 16 flip-flops per SLICE on a 37-wide grid, whose
-SLICE rows wrap so that address order differs from packing order.
+SLICE rows wrap so that address order differs from packing order. So
+are the CSVs of ``compare`` on three small presets, written the same by
+one process and by two worker processes, and the ``simulate`` report
+JSON under every policy.
 """
 
 import hashlib
@@ -35,6 +38,10 @@ ANALYZE_DIGESTS = {
     ("8", "100x100"): "23530b60cbea3ed0633933c492fa3f8da8e0b06d19422c4d0479c15b20694aab",
     ("16", "37x50"): "466f6d7cbfd3a202436f4c07dd718ff014f30d62e9d4f516b16e75dc55644c45",
 }
+CLI_PRESETS = ("float", "global", "struct")
+COMPARE_CSVS = ("rollback.csv", "ffstores.csv", "bram.csv")
+COMPARE_DIGEST = "0471ea66f1107be2cfe211bcd1ac6747a7889141198d7b814beb3f154ef851e6"
+SIMULATE_DIGEST = "e579dfcac35d1d8b55ef59801111cbbe7ba57e15a5a35b9437c20a1666f9a787"
 
 
 def report_row(report, k):
@@ -43,6 +50,14 @@ def report_row(report, k):
             report.slice_store_events, report.store_cost_cycles,
             report.wall_progress_cycles, report.bram_count,
             sorted(report.final_state.items())]
+
+
+def file_digest(paths):
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(f"{path.name}\n".encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def digest(rows):
@@ -131,3 +146,27 @@ def test_analyze_artifacts_golden(ffs_per_slice, grid, tmp_path):
             h.update(f"{name}.{artifact}\n".encode())
             h.update((tmp_path / f"{name}.{artifact}").read_bytes())
     assert h.hexdigest() == ANALYZE_DIGESTS[(ffs_per_slice, grid)]
+
+
+def compare_csvs(out, jobs):
+    argv = ["compare", "--outages", "0..5", "--rounds", "3", "--jobs", jobs,
+            "--out", str(out)]
+    for name in CLI_PRESETS:
+        argv += ["--preset", name]
+    assert cli.main(argv) == cli.EXIT_OK
+    return [out / name for name in COMPARE_CSVS]
+
+
+def test_compare_csvs_golden(tmp_path):
+    one = compare_csvs(tmp_path / "jobs1", "1")
+    assert file_digest(one) == COMPARE_DIGEST
+    two = compare_csvs(tmp_path / "jobs2", "2")
+    assert [p.read_bytes() for p in two] == [p.read_bytes() for p in one]
+
+
+def test_simulate_reports_golden(tmp_path):
+    for policy in powersim.POLICY_NAMES:
+        for name in CLI_PRESETS:
+            assert cli.main(["simulate", "--preset", name, "--policy", policy,
+                             "--outages", "3", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert file_digest(sorted(tmp_path.iterdir())) == SIMULATE_DIGEST
