@@ -22,12 +22,11 @@ from .liveness import (
     TrackerSpec,
     live_sets,
     make_tracker_spec,
-    max_cycles,
     resume_point,
     tracking_policy,
 )
 from .tracker import TrackerState, can_start
-from .placement import Placement, ResourceModel, assign_slices
+from .placement import Placement, assign_slices
 from .control_unit import ControlUnitTable, bram_usage, build_table, lookup
 from .powersim import (
     Policy,

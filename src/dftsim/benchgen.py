@@ -194,7 +194,7 @@ def preset_program(name: str) -> ScheduledProgram:
     return generate(preset_shape(name))
 
 
-def random_small_shape(seed: int, max_body: int = 64) -> BenchmarkShape:
+def random_small_shape(seed: int) -> BenchmarkShape:
     """Small program shapes for exhaustive crash-consistency sweeps.
 
     Total progress stays under 200 cycles so a single-outage sweep over
@@ -202,7 +202,7 @@ def random_small_shape(seed: int, max_body: int = 64) -> BenchmarkShape:
     """
     rng = random.Random(seed)
     states = rng.randint(2, 3)
-    body_hi = min(max_body, 32 if states > 2 else 48)
+    body_hi = 32 if states > 2 else 48
     lo = rng.randint(6, 10)
     return BenchmarkShape(
         name=f"rnd{seed}", states=states,

@@ -26,7 +26,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import benchgen, powersim, transform
+from . import benchgen, placement, powersim, transform
 from .control_unit import serialize_table
 from .liveness import TRACKED
 from .program import ParseError, ProgramError, parse_program, serialize_program, validate
@@ -152,15 +152,14 @@ def cmd_analyze(args) -> int:
     (out / f"{name}.placement.txt").write_text(prep.placement.dump())
     (out / f"{name}.cu_table.bin").write_bytes(serialize_table(prep.table))
 
-    resources = prep.resources
     per_fn = {}
     for fid, spec in sorted(prep.specs.items()):
-        ffs, luts = resources.tracker_resources(spec.width)
+        ffs, luts = placement.tracker_resources(spec.width)
         entry = {"mode": spec.mode, "width": spec.width,
                  "tracker_ffs": ffs if spec.mode == TRACKED else 0,
                  "tracker_luts": luts if spec.mode == TRACKED else 0}
         if 4 <= spec.width <= 9:
-            cf, cl, cb = resources.cu_resources(spec.width)
+            cf, cl, cb = placement.cu_resources(spec.width)
             entry["cu_ffs"], entry["cu_luts"], entry["cu_brams"] = cf, cl, cb
         per_fn[fid] = entry
     summary = {
@@ -171,8 +170,8 @@ def cmd_analyze(args) -> int:
         "table_bits": prep.table.total_bits,
         "slices_used": len(prep.placement.slice_ffs),
         "total_cycles": prep.total_cycles,
-        "chip": {"ffs": resources.chip_ffs, "luts": resources.chip_luts,
-                 "brams": resources.chip_brams, "slices": resources.chip_slices},
+        "chip": {"ffs": placement.CHIP_FFS, "luts": placement.CHIP_LUTS,
+                 "brams": placement.CHIP_BRAMS, "slices": placement.CHIP_SLICES},
         "functions": per_fn,
     }
     (out / f"{name}.resources.json").write_text(json.dumps(summary, indent=2) + "\n")

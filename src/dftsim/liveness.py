@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .placement import ResourceModel
+from .placement import tracker_resources
 from .program import FunctionSchedule, ProgramError, Region
 
 TRACKED = "tracked"
@@ -51,15 +51,6 @@ class TrackerSpec:
     @property
     def max_cycles(self) -> int:
         return self.iterations * self.body_length
-
-
-def max_cycles(width: int) -> int:
-    """Longest function a counter of the given width can track.
-
-    Both the iteration count and the body length must fit in the counter,
-    so the capacity is (2^width - 1)^2 cycles.
-    """
-    return (2 ** width - 1) ** 2
 
 
 def resume_point(region: Region, n: int) -> int:
@@ -142,7 +133,7 @@ def function_register_ffs(function: FunctionSchedule) -> int:
     return sum(region.reg_widths.get(op.output, 32) for op in region.ops)
 
 
-def tracking_policy(function: FunctionSchedule, resources: ResourceModel) -> str:
+def tracking_policy(function: FunctionSchedule) -> str:
     """Decide whether a function earns a tracker.
 
     When the tracker itself would cost at least as many flip-flops as the
@@ -151,15 +142,15 @@ def tracking_policy(function: FunctionSchedule, resources: ResourceModel) -> str
     """
     region = function.region
     width = counter_width(region.iterations, region.body_length)
-    tracker_ffs, _ = resources.tracker_resources(width)
+    tracker_ffs, _ = tracker_resources(width)
     if tracker_ffs >= function_register_ffs(function):
         return STORE_ALL
     return TRACKED
 
 
-def plan_trackers(program, resources: ResourceModel) -> Dict[str, TrackerSpec]:
+def plan_trackers(program) -> Dict[str, TrackerSpec]:
     """Tracker spec per function, mode chosen by the tracking policy."""
     specs: Dict[str, TrackerSpec] = {}
     for f in program.functions:
-        specs[f.id] = make_tracker_spec(f, tracking_policy(f, resources))
+        specs[f.id] = make_tracker_spec(f, tracking_policy(f))
     return specs

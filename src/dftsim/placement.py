@@ -51,26 +51,20 @@ class PlacementOverflow(ProgramError):
     pass
 
 
-@dataclass(frozen=True)
-class ResourceModel:
-    chip_ffs: int = CHIP_FFS
-    chip_luts: int = CHIP_LUTS
-    chip_brams: int = CHIP_BRAMS
-    chip_slices: int = CHIP_SLICES
+def tracker_resources(width: int) -> Tuple[int, int]:
+    """(flip-flops, LUTs) of one tracker at the given counter width."""
+    if width in _TRACKER_TABLE:
+        return _TRACKER_TABLE[width]
+    if 10 <= width <= 16:
+        return (15 + 3 * (width - 4), 110)
+    raise ValueError(f"tracker width {width} outside 4..16")
 
-    def tracker_resources(self, width: int) -> Tuple[int, int]:
-        """(flip-flops, LUTs) of one tracker at the given counter width."""
-        if width in _TRACKER_TABLE:
-            return _TRACKER_TABLE[width]
-        if 10 <= width <= 16:
-            return (15 + 3 * (width - 4), 110)
-        raise ValueError(f"tracker width {width} outside 4..16")
 
-    def cu_resources(self, width: int) -> Tuple[int, int, int]:
-        """(flip-flops, LUTs, BRAMs) of a one-tracker control unit."""
-        if width not in _CU_TABLE:
-            raise ValueError(f"control-unit width {width} outside 4..9")
-        return _CU_TABLE[width]
+def cu_resources(width: int) -> Tuple[int, int, int]:
+    """(flip-flops, LUTs, BRAMs) of a one-tracker control unit."""
+    if width not in _CU_TABLE:
+        raise ValueError(f"control-unit width {width} outside 4..9")
+    return _CU_TABLE[width]
 
 
 def slice_xy(mask: int, grid_w: int) -> List[Tuple[int, int]]:
@@ -87,7 +81,6 @@ class Placement:
 
     ffs_per_slice: int
     grid_w: int
-    grid_h: int
     regs: Dict[str, int] = field(default_factory=dict)
     trackers: Dict[str, int] = field(default_factory=dict)
     slice_ffs: Dict[int, int] = field(default_factory=dict)
@@ -153,8 +146,8 @@ class _Packer:
         return mask
 
 
-def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int = 8,
-                  grid: Tuple[int, int] = (100, 100)) -> Placement:
+def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int,
+                  grid: Tuple[int, int]) -> Placement:
     """Deterministic greedy packing of registers, then trackers.
 
     ``specs`` maps function id to its TrackerSpec; tracker flip-flop counts
@@ -166,7 +159,6 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int 
     if ffs_per_slice not in (8, 16):
         raise ValueError("ffs_per_slice must be 8 or 16")
     packer = _Packer(ffs_per_slice, grid[0], grid[1])
-    model = ResourceModel()
 
     placed: Dict[str, int] = {}
     writer_fn = {}
@@ -188,12 +180,11 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int 
     for fid in sorted(specs):
         spec = specs[fid]
         if spec.mode == "tracked":
-            ffs, _ = model.tracker_resources(spec.width)
+            ffs, _ = tracker_resources(spec.width)
         else:
             ffs = STORE_ALL_CONTROL_FFS
         trackers[fid] = packer.place(ffs)
 
     return Placement(
-        ffs_per_slice=ffs_per_slice, grid_w=grid[0], grid_h=grid[1],
-        regs=placed, trackers=trackers,
+        ffs_per_slice=ffs_per_slice, grid_w=grid[0], regs=placed, trackers=trackers,
         slice_ffs=dict(packer.fills))

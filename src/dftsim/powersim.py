@@ -78,7 +78,7 @@ import hashlib
 import statistics
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -87,7 +87,7 @@ import random
 from . import tracker as trk
 from .control_unit import ControlUnitTable, bram_usage, build_table, lookup
 from .liveness import LiveSetTable, TrackerSpec, live_sets, plan_trackers
-from .placement import Placement, ResourceModel, assign_slices
+from .placement import Placement, assign_slices
 from .program import (
     ProgramError,
     ScheduledProgram,
@@ -118,8 +118,6 @@ class PowerTrace:
 @dataclass(frozen=True)
 class Policy:
     name: str
-    per_slice_cost: int = 1    # store latency accounting, cycles per SLICE
-    per_word_cost: int = 1     # store latency accounting, cycles per word
 
     def __post_init__(self):
         if self.name not in POLICY_NAMES:
@@ -130,7 +128,6 @@ class Policy:
 class SimConfig:
     ffs_per_slice: int = 8
     grid: Tuple[int, int] = (100, 100)
-    inputs: Mapping[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -184,7 +181,6 @@ class Prepared:
     """Everything an intermittent run needs, built once per program."""
     program: ScheduledProgram
     config: SimConfig
-    resources: ResourceModel
     specs: Dict[str, TrackerSpec]
     live_tables: Dict[str, LiveSetTable]
     placement: Placement
@@ -230,8 +226,7 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
     violations = validate(program)
     if violations:
         raise ProgramError("\n".join(str(v) for v in violations))
-    resources = ResourceModel()
-    specs = plan_trackers(program, resources)
+    specs = plan_trackers(program)
     live_tables = {f.id: live_sets(f.region, f.result_regs) for f in program.functions}
     placement = assign_slices(program, specs, config.ffs_per_slice, config.grid)
     table = build_table(program, specs, placement, live_tables)
@@ -244,16 +239,16 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
                           for s in succs[fid]), default=0)
     compiled = compile_program(program)
     reg_index = compiled.reg_index
-    bound = {**program.default_inputs, **config.inputs}
+    bound = program.default_inputs
     reload = tuple(bound.get(reg, _CLOBBER) & ((1 << compiled.widths[i]) - 1)
                    for reg, i in reg_index.items())
     results = {f.id: tuple(reg_index[reg] for reg in sorted(f.result_regs))
                for f in program.functions}
     return Prepared(
-        program=program, config=config, resources=resources, specs=specs,
+        program=program, config=config, specs=specs,
         live_tables=live_tables, placement=placement, table=table,
         compiled=compiled,
-        reference=execute_reference(program, config.inputs),
+        reference=execute_reference(program),
         total_cycles=makespan(program),
         result_ffs=sum(compiled.widths[i] for rs in results.values() for i in rs),
         order=order,
@@ -284,22 +279,21 @@ def gen_trace(total_cycles: int, outages: int, seed: int) -> PowerTrace:
     return PowerTrace(points=points, seed=seed, total_cycles=total_cycles)
 
 
-def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace,
-        config: Optional[SimConfig] = None,
-        prepared: Optional[Prepared] = None) -> SimulationReport:
-    """One deterministic intermittent execution.
+def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace, *,
+        prepared: Prepared) -> SimulationReport:
+    """One deterministic intermittent execution of ``prepared.program``
+    (which ``program`` must be).
 
     It starts from the last state of the uninterrupted run at or before
     the first outage point (the last one when there is no outage).
     """
-    prep = prepared or prepare(program, config)
-    first = trace.points[0] if trace.points else prep.total_cycles
-    if first < prep.first_completion:
-        return _execute(prep, policy, trace, prep.start)
-    states = prep.states
+    first = trace.points[0] if trace.points else prepared.total_cycles
+    if first < prepared.first_completion:
+        return _execute(prepared, policy, trace, prepared.start)
+    states = prepared.states
     if states is None:
-        states = prep.states = _completion_states(prep)
-    return _execute(prep, policy, trace,
+        states = prepared.states = _completion_states(prepared)
+    return _execute(prepared, policy, trace,
                     states[bisect_right(states, first, key=_POSITION) - 1])
 
 
@@ -372,7 +366,7 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
                 if hit is None:
                     hit = dft_stores[key] = store_set(prep, emitted, done)
                 ff_here, slices_here, lost = hit
-                store_cost += slices_here * policy.per_slice_cost
+                store_cost += slices_here
                 for i in lost:
                     regs[i] = reload[i]
                 rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
@@ -380,7 +374,7 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
             elif policy.name == FULLCHIP:
                 ff_here = grid_slices * cfg.ffs_per_slice
                 slices_here = grid_slices
-                store_cost += grid_slices * policy.per_slice_cost
+                store_cost += grid_slices
                 rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
                                default=0)
             else:  # cp: discard in-flight states, resume at last boundary
@@ -440,7 +434,7 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
         # every function completes once per run, and its checkpoint fires
         # then, power or not
         ff_stores = prep.result_ffs
-        store_cost = sum(map(len, prep.results.values())) * policy.per_word_cost
+        store_cost = sum(map(len, prep.results.values()))
     return SimulationReport(
         policy=policy.name, trace=trace,
         total_rollback=sum(o.rollback for o in outages),
@@ -465,7 +459,6 @@ class Cell:
     policy: str
     outages: int
     rounds: int
-    seeds: Tuple[int, ...]
     rollback_samples: Tuple[int, ...]
     ff_samples: Tuple[int, ...]
 
@@ -487,11 +480,11 @@ class Cell:
 
 
 def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
-                    k_values: Sequence[int], rounds: int, base_seed: int,
-                    config: Optional[SimConfig] = None,
+                    k_values: Sequence[int], rounds: int, base_seed: int, *,
                     benchmark: str = "program",
-                    prepared: Optional[Prepared] = None) -> Dict[Tuple[str, int], Cell]:
-    """Mean rollback and store counts over seeded independent traces.
+                    prepared: Prepared) -> Dict[Tuple[str, int], Cell]:
+    """Mean rollback and store counts over seeded independent traces of
+    ``prepared.program`` (which ``program`` must be).
 
     Every cell is reproducible standalone: its trace seed comes from
     ``derive_seed`` and nothing else. Raises ConsistencyError if any run
@@ -500,17 +493,15 @@ def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    prep = prepared or prepare(program, config)
     cells: Dict[Tuple[str, int], Cell] = {}
     for pol in policies:
         for k in k_values:
-            seeds = []
             rollbacks = []
             ffs = []
             for r in range(rounds):
                 seed = derive_seed(base_seed, benchmark, pol.name, k, r)
-                trace = gen_trace(prep.total_cycles, k, seed)
-                report = run(program, pol, trace, prepared=prep)
+                trace = gen_trace(prepared.total_cycles, k, seed)
+                report = run(program, pol, trace, prepared=prepared)
                 if not report.consistent:
                     got, want = report.final_state, report.reference_state
                     reg = min(x for x in got.keys() | want.keys()
@@ -521,10 +512,9 @@ def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
                         f"{want.get(reg)}, got {got.get(reg)} (trace seed {seed}; "
                         f"reproduce with simulate --policy {pol.name} "
                         f"--outages {k} --seed {seed})")
-                seeds.append(seed)
                 rollbacks.append(report.total_rollback)
                 ffs.append(report.ff_stores)
             cells[(pol.name, k)] = Cell(
-                policy=pol.name, outages=k, rounds=rounds, seeds=tuple(seeds),
+                policy=pol.name, outages=k, rounds=rounds,
                 rollback_samples=tuple(rollbacks), ff_samples=tuple(ffs))
     return cells

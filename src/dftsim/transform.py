@@ -13,7 +13,7 @@ result registers; ``normalize`` composes them and is idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .program import (
@@ -28,13 +28,6 @@ from .program import (
 
 class SplitError(ProgramError):
     pass
-
-
-@dataclass(frozen=True)
-class NormalizeMap:
-    """Traceability from original ids to normalized fragment ids."""
-    fragments: Dict[str, Tuple[str, ...]]   # original function -> fragments
-    merged: Tuple[str, ...]                 # functions created by merge
 
 
 def split(function: FunctionSchedule) -> List[FunctionSchedule]:
@@ -200,22 +193,13 @@ def merge(program: ScheduledProgram) -> ScheduledProgram:
 
 def normalize(program: ScheduledProgram) -> ScheduledProgram:
     """Merge then split until every function has exactly one region."""
-    return normalize_with_map(program)[0]
-
-
-def normalize_with_map(program: ScheduledProgram) -> Tuple[ScheduledProgram, NormalizeMap]:
     merged = merge(program)
-    merged_ids = tuple(f.id for f in merged.functions
-                       if f.id not in {g.id for g in program.functions})
-
-    fragments_of: Dict[str, Tuple[str, ...]] = {}
     out_functions: List[FunctionSchedule] = []
     deps: Set[Tuple[str, str]] = set()
     first: Dict[str, str] = {}
     last: Dict[str, str] = {}
     for f in merged.functions:
         parts = split(f)
-        fragments_of[f.id] = tuple(p.id for p in parts)
         first[f.id] = parts[0].id
         last[f.id] = parts[-1].id
         out_functions.extend(parts)
@@ -224,8 +208,7 @@ def normalize_with_map(program: ScheduledProgram) -> Tuple[ScheduledProgram, Nor
     for pred, succ in merged.dependencies:
         deps.add((last[pred], first[succ]))
 
-    normalized = replace(merged,
-                         functions=tuple(out_functions),
-                         dependencies=tuple(sorted(deps)),
-                         main_sequence=())
-    return normalized, NormalizeMap(fragments=fragments_of, merged=merged_ids)
+    return replace(merged,
+                   functions=tuple(out_functions),
+                   dependencies=tuple(sorted(deps)),
+                   main_sequence=())

@@ -14,7 +14,7 @@ from dftsim.program import (
     parse_program,
     validate,
 )
-from dftsim.transform import SplitError, merge, normalize, normalize_with_map, split
+from dftsim.transform import SplitError, merge, normalize, split
 
 
 def op(oid, opcode, inputs, output, start, end, value=0):
@@ -209,12 +209,13 @@ def test_normalize_mixed_program():
                                default_inputs=program.default_inputs)
     before = execute_reference(program)
 
-    normalized, nmap = normalize_with_map(program)
+    normalized = normalize(program)
     assert validate(normalized) == []
     assert normalized.is_normalized
     assert all(len(f.regions) == 1 for f in normalized.functions)
-    assert nmap.fragments["F2"] == ("F2__s0", "F2__s1")
-    assert "main__m0" in nmap.merged
+    ids = [f.id for f in normalized.functions]
+    assert {"F2__s0", "F2__s1", "main__m0"} <= set(ids) and "F2" not in ids
+    assert ids.index("F2__s0") + 1 == ids.index("F2__s1")
     after = execute_reference(normalized)
     assert all(after[reg] == before[reg] for reg in before)
 
