@@ -165,28 +165,48 @@ class Violation:
 # Parsing
 # ---------------------------------------------------------------------------
 
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ParseError("must be an object", where)
+    return doc
+
+
 def _require(obj: Mapping, key: str, where: str):
     if key not in obj:
         raise ParseError(f"missing field '{key}'", where)
     return obj[key]
 
 
+def _list(value, name: str, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{name} must be a list", where)
+    return value
+
+
+def _reg_ids(value, name: str, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(r, str) for r in value):
+        raise ParseError(f"{name} must be a list of register ids", where)
+    return value
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_op(doc: Mapping, where: str) -> Operation:
-    if not isinstance(doc, dict):
-        raise ParseError("op must be an object", where)
+    doc = _object(doc, where)
     opid = _require(doc, "id", where)
     opcode = _require(doc, "opcode", where)
     if opcode not in OPCODES:
         raise ParseError(f"unknown opcode '{opcode}'", where)
-    inputs = _require(doc, "inputs", where)
-    if not isinstance(inputs, list) or not all(isinstance(r, str) for r in inputs):
-        raise ParseError("inputs must be a list of register ids", where)
+    inputs = _reg_ids(_require(doc, "inputs", where), "inputs", where)
     start = _require(doc, "start", where)
     end = _require(doc, "end", where)
-    if not isinstance(start, int) or not isinstance(end, int):
+    if not _is_int(start) or not _is_int(end):
         raise ParseError("start/end must be integers", where)
     value = doc.get("value", 0)
-    if not isinstance(value, int):
+    if not _is_int(value):
         raise ParseError("value must be an integer", where)
     return Operation(id=str(opid), opcode=opcode, inputs=tuple(inputs),
                      output=str(_require(doc, "output", where)),
@@ -194,27 +214,26 @@ def _parse_op(doc: Mapping, where: str) -> Operation:
 
 
 def _parse_region(doc: Mapping, where: str) -> Region:
+    doc = _object(doc, where)
     kind = _require(doc, "kind", where)
     if kind not in (LOOP, STRAIGHT):
         raise ParseError(f"kind must be '{LOOP}' or '{STRAIGHT}'", where)
     iterations = _require(doc, "iterations", where)
     body_length = _require(doc, "body_length", where)
-    if not isinstance(iterations, int) or iterations < 1:
+    if not _is_int(iterations) or iterations < 1:
         raise ParseError("iterations must be a positive integer", where)
     if kind == STRAIGHT and iterations != 1:
         raise ParseError("straight region must have iterations = 1", where)
-    if not isinstance(body_length, int) or body_length < 1:
+    if not _is_int(body_length) or body_length < 1:
         raise ParseError("body_length must be a positive integer", where)
-    live_in = doc.get("live_in", [])
-    if not isinstance(live_in, list):
-        raise ParseError("live_in must be a list", where)
+    live_in = _reg_ids(doc.get("live_in", []), "live_in", where)
     ops = tuple(_parse_op(o, f"{where}.ops[{i}]")
-                for i, o in enumerate(_require(doc, "ops", where)))
+                for i, o in enumerate(_list(_require(doc, "ops", where), "ops", where)))
     widths = doc.get("reg_widths", {})
     if not isinstance(widths, dict):
         raise ParseError("reg_widths must be an object", where)
     for reg, w in widths.items():
-        if not isinstance(w, int) or not 1 <= w <= 32:
+        if not _is_int(w) or not 1 <= w <= 32:
             raise ParseError(f"width of '{reg}' must be in 1..32", where)
     return Region(kind=kind, iterations=iterations, body_length=body_length,
                   live_in=tuple(live_in), ops=ops, reg_widths=dict(widths))
@@ -223,8 +242,9 @@ def _parse_region(doc: Mapping, where: str) -> Region:
 def parse_program(text: str) -> ScheduledProgram:
     """Parse a program-description document (JSON).
 
-    Raises ParseError for schema violations, dangling references and cyclic
-    dependencies; deeper schedule invariants are left to ``validate``.
+    Raises ParseError, located in the document, for schema violations,
+    dangling references and cyclic dependencies; deeper schedule
+    invariants are left to ``validate``.
     """
     try:
         doc = json.loads(text)
@@ -235,22 +255,25 @@ def parse_program(text: str) -> ScheduledProgram:
 
     functions = []
     ids = set()
-    for i, fdoc in enumerate(_require(doc, "functions", "top")):
+    for i, fdoc in enumerate(_list(_require(doc, "functions", "top"), "functions", "top")):
         where = f"functions[{i}]"
+        fdoc = _object(fdoc, where)
         fid = str(_require(fdoc, "id", where))
         if fid in ids:
             raise ParseError(f"duplicate function id '{fid}'", where)
         ids.add(fid)
-        result_regs = _require(fdoc, "result_regs", where)
+        result_regs = _reg_ids(_require(fdoc, "result_regs", where), "result_regs", where)
         regions = tuple(_parse_region(r, f"{where}.regions[{j}]")
-                        for j, r in enumerate(_require(fdoc, "regions", where)))
+                        for j, r in enumerate(_list(_require(fdoc, "regions", where),
+                                                    "regions", where)))
         if not regions:
             raise ParseError("region list is empty", where)
         functions.append(FunctionSchedule(id=fid, regions=regions,
                                           result_regs=frozenset(result_regs)))
 
     deps = []
-    for i, pair in enumerate(_require(doc, "dependencies", "top")):
+    for i, pair in enumerate(_list(_require(doc, "dependencies", "top"),
+                                   "dependencies", "top")):
         where = f"dependencies[{i}]"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError("dependency must be a [pred, succ] pair", where)
@@ -262,9 +285,11 @@ def parse_program(text: str) -> ScheduledProgram:
 
     main_items: List[MainItem] = []
     if "main" in doc:
-        seq = _require(doc["main"], "sequence", "main")
+        seq = _list(_require(_object(doc["main"], "main"), "sequence", "main"),
+                    "sequence", "main")
         for i, item in enumerate(seq):
             where = f"main.sequence[{i}]"
+            item = _object(item, where)
             if "call" in item:
                 fid = str(item["call"])
                 if fid not in ids:
@@ -278,9 +303,12 @@ def parse_program(text: str) -> ScheduledProgram:
     inputs = doc.get("inputs", {})
     if not isinstance(inputs, dict):
         raise ParseError("inputs must be an object", "top")
+    for reg, v in inputs.items():
+        if not _is_int(v):
+            raise ParseError(f"value of '{reg}' must be an integer", "inputs")
     program = ScheduledProgram(functions=tuple(functions), dependencies=tuple(deps),
                                main_sequence=tuple(main_items),
-                               default_inputs={str(k): int(v) & U32 for k, v in inputs.items()})
+                               default_inputs={str(k): v & U32 for k, v in inputs.items()})
     try:
         program.topo_order()
     except ProgramError as exc:

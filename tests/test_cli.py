@@ -136,3 +136,46 @@ def test_binary_program_file_exits_validation(tmp_path, capsys):
     code = cli.main(["simulate", "--program", str(path), "--out", str(tmp_path)])
     assert code == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == f"{path}: not UTF-8 text (byte 1)\n"
+
+
+def set_path(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+FN = ("functions", 0)
+REGION = FN + ("regions", 0)
+
+
+@pytest.mark.parametrize("path,value,located", [
+    (("functions",), 5, "top: functions must be a list"),
+    (("functions",), [5], "functions[0]: must be an object"),
+    (("dependencies",), 5, "top: dependencies must be a list"),
+    (("main",), 5, "main: must be an object"),
+    (("main",), {"sequence": [5]}, "main.sequence[0]: must be an object"),
+    (FN + ("regions",), [5], "functions[0].regions[0]: must be an object"),
+    (REGION + ("ops",), 5, "functions[0].regions[0]: ops must be a list"),
+    (FN + ("result_regs",), 5, "functions[0]: result_regs must be a list of register ids"),
+    (FN + ("result_regs",), [5], "functions[0]: result_regs must be a list of register ids"),
+    (REGION + ("live_in",), [5], "functions[0].regions[0]: live_in must be a list of register ids"),
+    (REGION + ("iterations",), True, "functions[0].regions[0]: iterations must be a positive integer"),
+    (("inputs",), {"a": "x"}, "inputs: value of 'a' must be an integer"),
+    (("inputs",), {"a": True}, "inputs: value of 'a' must be an integer"),
+], ids=("functions-not-list", "function-not-object", "dependencies-not-list",
+        "main-not-object", "main-item-not-object", "region-not-object", "ops-not-list",
+        "result-regs-not-list", "result-reg-not-string", "live-in-not-string",
+        "boolean-iterations", "string-input", "boolean-input"))
+def test_malformed_program_exits_validation(path, value, located, tmp_path, capsys):
+    doc = {"functions": [{"id": "f", "result_regs": ["y"], "regions": [
+        {"kind": "straight", "iterations": 1, "body_length": 1, "live_in": ["a"],
+         "ops": [{"id": "o", "opcode": "pass", "inputs": ["a"], "output": "y",
+                  "start": 0, "end": 0}]}]}],
+        "dependencies": [], "inputs": {"a": 1}}
+    set_path(doc, path, value)
+    prog_path = tmp_path / "p.json"
+    prog_path.write_text(json.dumps(doc))
+    code = cli.main(["analyze", "--program", str(prog_path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == located + "\n"
