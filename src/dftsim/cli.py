@@ -8,6 +8,19 @@ sweeps outage counts over seeded Monte Carlo rounds and emits CSV grids.
 Exit codes: 0 success, 2 validation error, 3 crash-consistency violation,
 4 configuration error. Output directory defaults to $DFTSIM_OUT or cwd.
 
+``compare`` writes three CSV files. In ``rollback.csv`` and
+``ffstores.csv`` each row is one (benchmark, policy, k) cell, and
+``mean``/``stddev`` are the mean and population standard deviation over
+its ``rounds`` runs:
+
+* ``rollback.csv``: total roll-back cycles of one run, summed over its
+  k outages;
+* ``ffstores.csv``: flip-flops stored in one run (``ff_stores`` of
+  ``powersim.SimulationReport``);
+* ``bram.csv``: one row per benchmark, with ``states`` its functions
+  after normalization and ``bram_dft``/``bram_cp`` counts of 18 Kb block
+  RAMs (the address table under ``dft``, one per state under ``cp``).
+
 Every compare cell derives its trace seed as
 ``base_seed XOR sha256(benchmark:policy:k:round)[:8]`` (see
 ``powersim.derive_seed``), so any cell is reproducible standalone via

@@ -142,13 +142,18 @@ class OutageRecord:
 class SimulationReport:
     policy: str
     trace: PowerTrace
-    total_rollback: int
-    per_outage_rollback: Tuple[int, ...]
+    total_rollback: int                     # cycles, summed over the outages
+    per_outage_rollback: Tuple[int, ...]    # cycles per outage
+    # Flip-flops stored over the run: at each outage for dft (whole occupied
+    # SLICEs) and fullchip (every SLICE of the grid), at each function
+    # completion for cp (its result registers).
     ff_stores: int
-    bram_count: int
-    slice_store_events: int
+    bram_count: int                         # 18 Kb block RAMs
+    slice_store_events: int                 # SLICEs stored, summed over the outages
+    # Store latency in cycles: 1 per stored SLICE for dft and fullchip,
+    # 1 per result word for cp.
     store_cost_cycles: int
-    wall_progress_cycles: int
+    wall_progress_cycles: int               # cycles stepped, re-execution included
     final_state: Dict[str, int]
     reference_state: Dict[str, int]
     outages: Tuple[OutageRecord, ...]
