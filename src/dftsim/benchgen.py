@@ -20,7 +20,7 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .program import (
     LOOP,

@@ -37,7 +37,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import benchgen, placement, powersim, transform
 from .control_unit import serialize_table

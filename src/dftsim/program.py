@@ -177,9 +177,10 @@ def _require(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
-def _list(value, name: str, where: str) -> list:
+def _require_list(obj: Mapping, key: str, where: str) -> list:
+    value = _require(obj, key, where)
     if not isinstance(value, list):
-        raise ParseError(f"{name} must be a list", where)
+        raise ParseError(f"{key} must be a list", where)
     return value
 
 
@@ -228,7 +229,7 @@ def _parse_region(doc: Mapping, where: str) -> Region:
         raise ParseError("body_length must be a positive integer", where)
     live_in = _reg_ids(doc.get("live_in", []), "live_in", where)
     ops = tuple(_parse_op(o, f"{where}.ops[{i}]")
-                for i, o in enumerate(_list(_require(doc, "ops", where), "ops", where)))
+                for i, o in enumerate(_require_list(doc, "ops", where)))
     widths = doc.get("reg_widths", {})
     if not isinstance(widths, dict):
         raise ParseError("reg_widths must be an object", where)
@@ -255,7 +256,7 @@ def parse_program(text: str) -> ScheduledProgram:
 
     functions = []
     ids = set()
-    for i, fdoc in enumerate(_list(_require(doc, "functions", "top"), "functions", "top")):
+    for i, fdoc in enumerate(_require_list(doc, "functions", "top")):
         where = f"functions[{i}]"
         fdoc = _object(fdoc, where)
         fid = str(_require(fdoc, "id", where))
@@ -264,16 +265,14 @@ def parse_program(text: str) -> ScheduledProgram:
         ids.add(fid)
         result_regs = _reg_ids(_require(fdoc, "result_regs", where), "result_regs", where)
         regions = tuple(_parse_region(r, f"{where}.regions[{j}]")
-                        for j, r in enumerate(_list(_require(fdoc, "regions", where),
-                                                    "regions", where)))
+                        for j, r in enumerate(_require_list(fdoc, "regions", where)))
         if not regions:
             raise ParseError("region list is empty", where)
         functions.append(FunctionSchedule(id=fid, regions=regions,
                                           result_regs=frozenset(result_regs)))
 
     deps = []
-    for i, pair in enumerate(_list(_require(doc, "dependencies", "top"),
-                                   "dependencies", "top")):
+    for i, pair in enumerate(_require_list(doc, "dependencies", "top")):
         where = f"dependencies[{i}]"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError("dependency must be a [pred, succ] pair", where)
@@ -285,9 +284,8 @@ def parse_program(text: str) -> ScheduledProgram:
 
     main_items: List[MainItem] = []
     if "main" in doc:
-        seq = _list(_require(_object(doc["main"], "main"), "sequence", "main"),
-                    "sequence", "main")
-        for i, item in enumerate(seq):
+        for i, item in enumerate(_require_list(_object(doc["main"], "main"),
+                                               "sequence", "main")):
             where = f"main.sequence[{i}]"
             item = _object(item, where)
             if "call" in item:

@@ -14,7 +14,7 @@ result registers; ``normalize`` composes them and is idempotent.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .program import (
     STRAIGHT,
