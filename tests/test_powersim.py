@@ -1,10 +1,12 @@
 """Intermittent runs: fork/join crash consistency, the event-driven
 scheduler, and consistency-failure reports."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dftsim import benchgen, powersim, tracker as trk
+from dftsim import benchgen, powersim, tracker as trk, transform
 from dftsim.program import (
     FunctionSchedule,
     Operation,
@@ -101,6 +103,39 @@ def test_fork_join_multi_outage(fork_join, policy, k, seed):
     report = powersim.run(fork_join.program, policy, trace, prepared=fork_join)
     assert len(report.outages) == k
     assert report.consistent
+
+
+@pytest.mark.parametrize("program", ("fork-join", "two-chain"))
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+def test_wall_from_every_start_state_without_outages(program, policy):
+    # a k=0 run from any state of the uninterrupted run steps the rest of
+    # it: its wall clock ends at the makespan
+    from test_golden import two_chain_program
+
+    prep = powersim.prepare(fork_join_program() if program == "fork-join"
+                            else transform.normalize(two_chain_program()))
+    trace = powersim.gen_trace(prep.total_cycles, 0, 0)
+    powersim.run(prep.program, policy, trace, prepared=prep)
+    for i in range(len(prep.states)):
+        upto = replace(prep, states=prep.states[:i + 1])
+        report = powersim.run(prep.program, policy, trace, prepared=upto)
+        assert report.wall_progress_cycles == prep.total_cycles, i
+        assert report.consistent, i
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+def test_wall_is_makespan_plus_rollback_on_chains(policy):
+    # In a chain one function runs at a time, so every cycle of roll-back
+    # is stepped again and nothing else: a single outage anywhere costs
+    # exactly its roll-back in wall cycles.
+    for seed in range(40):
+        prep = powersim.prepare(benchgen.generate(benchgen.random_small_shape(seed)))
+        for point in range(prep.total_cycles):
+            trace = powersim.PowerTrace(points=(point,), seed=0,
+                                        total_cycles=prep.total_cycles)
+            report = powersim.run(prep.program, policy, trace, prepared=prep)
+            assert report.wall_progress_cycles == (
+                prep.total_cycles + report.total_rollback), (seed, point)
 
 
 def test_trackers_start_only_on_completions(monkeypatch):

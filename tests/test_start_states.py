@@ -63,22 +63,54 @@ def test_single_outage_sweep_matches_a_run_from_zero(name):
     assert len(prep.states) - 1 <= len(prep.order) == len(prep.states[-1].done)
 
 
+GUARDED = ("fork-join", "two-chain", "rnd0", "rnd7")
+
+
+def with_states(name):
+    prep = prepared(name)
+    powersim.run(prep.program, POLICIES[0],
+                 powersim.gen_trace(prep.total_cycles, 0, 0), prepared=prep)
+    return prep
+
+
+def frozen(prep):
+    """A copy of everything a run may read from ``prep.start`` and
+    ``prep.states``, sharing no mutable object with them."""
+    return [(s.position, s.regs, s.running, s.done, s.candidates,
+             {fid: dict(vars(tr)) for fid, tr in s.trackers.items()})
+            for s in (prep.start, *prep.states)]
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_single_outage_sweep_leaves_the_start_states_unchanged(name):
+    # runs share the trackers they do not move with the states they start
+    # from, so a run that moves one of them would corrupt every later run
+    prep = with_states(name)
+    before = frozen(prep)
+    for point in range(prep.total_cycles):
+        for policy in POLICIES:
+            trace = powersim.PowerTrace(points=(point,), seed=0,
+                                        total_cycles=prep.total_cycles)
+            assert powersim.run(prep.program, policy, trace, prepared=prep).consistent
+    assert frozen(prep) == before
+
+
 @pytest.fixture(scope="module")
 def preps():
     out = {}
-    for name in ("fork-join", "two-chain", "rnd0", "rnd7"):
-        prep = prepared(name)
-        out[name] = (prep, from_zero(prep))
+    for name in GUARDED:
+        prep = with_states(name)
+        out[name] = (prep, from_zero(prep), frozen(prep))
     return out
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(("fork-join", "two-chain", "rnd0", "rnd7")),
-       st.sampled_from(POLICIES), st.data())
+@given(st.sampled_from(GUARDED), st.sampled_from(POLICIES), st.data())
 def test_multi_outage_traces_match_a_run_from_zero(preps, name, policy, data):
-    prep, zero = preps[name]
+    prep, zero, before = preps[name]
     points = data.draw(st.sets(st.integers(0, prep.total_cycles - 1), max_size=12))
     check(prep, zero, policy, sorted(points))
+    assert frozen(prep) == before
 
 
 @pytest.mark.parametrize("name", ("fork-join", "two-chain"))
