@@ -21,6 +21,21 @@ trackers: idle and finished ones emit status 0 and roll back by 0, so
 boundary statuses, ``tracker.snapshot`` and ``tracker.restore`` see the
 running ones alone.
 
+After the last outage nothing is traced any more, so a run finishes
+without the scheduler: one engine call steps each running function to
+its end, then one call per function not yet started steps it whole, in
+topological order, for the same reason. Progress then grows by one per
+cycle up to the makespan, so the wall clock gains the makespan less the
+position. Only the uninterrupted run that builds ``Prepared.states``
+keeps stepping from event to event, because it records every completion.
+
+A run copies a tracker only before it moves it: the running trackers of
+its start state when it begins, and an idle one when it starts. Idle
+trackers it never starts and finished ones stay shared with the start
+state, which only reads them (a finished tracker's tail lock and its
+zero cycles left), and a recorded state copies only its running
+trackers.
+
 Until its first outage, an intermittent run is the uninterrupted run. So
 ``run`` does not step that part again: it starts from the last entry of
 ``Prepared.states`` at or before the first outage point, and a run
@@ -168,7 +183,9 @@ class RunState:
     """The scheduler's state at an event of the uninterrupted run.
 
     A run that starts here instead of at cycle 0 copies the registers and
-    the trackers; the state itself is never stepped.
+    the running trackers, and copies an idle tracker when it starts it;
+    the state itself is never stepped, and shares its idle and finished
+    trackers with the runs that start from it.
     """
     position: int
     regs: Tuple[int, ...]
@@ -329,8 +346,10 @@ def store_set(prep: Prepared, statuses: Mapping[str, int],
 def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
              states: Optional[List[RunState]] = None) -> SimulationReport:
     """Run from ``state``, a state of the uninterrupted run at or before
-    the first outage point. Appends the state after each completion to
-    ``states`` if given."""
+    the first outage point. Steps from event to event until the last
+    outage and then finishes with straight kernel calls; given
+    ``states``, steps from event to event to the end and appends the
+    state after each completion to it."""
     cfg = prep.config
     reload = prep.reload
     preds = prep.preds
@@ -338,7 +357,12 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     kernels = prep.compiled.regions
 
     regs = list(state.regs)
-    trackers = {fid: tr.copy() for fid, tr in state.trackers.items()}
+    # copied only before they move: the running ones here, an idle one
+    # when it starts
+    trackers = dict(state.trackers)
+    running: Dict[str, trk.TrackerState] = {}
+    for fid in state.running:
+        running[fid] = trackers[fid] = trackers[fid].copy()
     pending = deque(trace.points)
     position = wall = state.position
     ff_stores = 0
@@ -355,10 +379,9 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     # at the completion point to be handled first. The longest path of
     # work still to do starts at a running function or at a candidate.
     candidates: Sequence[str] = state.candidates
-    running: Dict[str, trk.TrackerState] = {fid: trackers[fid] for fid in state.running}
     done: List[str] = list(state.done)
 
-    while True:
+    while pending or states is not None:
         if pending and pending[0] == position:
             point = pending.popleft()
             boundary = {fid: tr.boundary_status() for fid, tr in running.items()}
@@ -406,8 +429,8 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
             tr = trackers[fid]
             if tr.phase == trk.IDLE and trk.can_start(
                     tr, [trackers[p].lock_tail for p in preds[fid]]):
+                tr = running[fid] = trackers[fid] = tr.copy()
                 tr.start()
-                running[fid] = tr
         candidates = ()
         if not running:
             if len(done) == len(trackers):
@@ -432,8 +455,17 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
             if states is not None:
                 states.append(RunState(
                     position=position, regs=tuple(regs),
-                    trackers={fid: tr.copy() for fid, tr in trackers.items()},
+                    trackers={**trackers,
+                              **{fid: tr.copy() for fid, tr in running.items()}},
                     running=tuple(running), done=tuple(done), candidates=candidates))
+
+    # the rest of the run, after the last outage
+    for fid, tr in running.items():
+        kernels[fid].run(regs, tr.count, tr.count + tr.remaining)
+    for fid in prep.order:
+        if trackers[fid].phase == trk.IDLE:
+            kernels[fid].run(regs, 0, prep.specs[fid].max_cycles)
+    wall += prep.total_cycles - position
 
     if policy.name == CP:
         # every function completes once per run, and its checkpoint fires
