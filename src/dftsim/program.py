@@ -165,9 +165,13 @@ class Violation:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _object(doc, where: str) -> dict:
+def _object(doc, where: str, fields: Sequence[str]) -> dict:
+    """``doc`` as an object holding no field outside ``fields``."""
     if not isinstance(doc, dict):
         raise ParseError("must be an object", where)
+    for key in doc:
+        if key not in fields:
+            raise ParseError(f"unknown field '{key}'", where)
     return doc
 
 
@@ -175,6 +179,13 @@ def _require(obj: Mapping, key: str, where: str):
     if key not in obj:
         raise ParseError(f"missing field '{key}'", where)
     return obj[key]
+
+
+def _require_str(obj: Mapping, key: str, where: str) -> str:
+    value = _require(obj, key, where)
+    if not isinstance(value, str):
+        raise ParseError(f"{key} must be a string", where)
+    return value
 
 
 def _require_list(obj: Mapping, key: str, where: str) -> list:
@@ -196,8 +207,8 @@ def _is_int(value) -> bool:
 
 
 def _parse_op(doc: Mapping, where: str) -> Operation:
-    doc = _object(doc, where)
-    opid = _require(doc, "id", where)
+    doc = _object(doc, where, ("id", "opcode", "inputs", "output", "start", "end", "value"))
+    opid = _require_str(doc, "id", where)
     opcode = _require(doc, "opcode", where)
     if opcode not in OPCODES:
         raise ParseError(f"unknown opcode '{opcode}'", where)
@@ -209,13 +220,16 @@ def _parse_op(doc: Mapping, where: str) -> Operation:
     value = doc.get("value", 0)
     if not _is_int(value):
         raise ParseError("value must be an integer", where)
-    return Operation(id=str(opid), opcode=opcode, inputs=tuple(inputs),
-                     output=str(_require(doc, "output", where)),
+    if value < 0:
+        raise ParseError("value must not be negative", where)
+    return Operation(id=opid, opcode=opcode, inputs=tuple(inputs),
+                     output=_require_str(doc, "output", where),
                      start=start, end=end, value=value & U32)
 
 
 def _parse_region(doc: Mapping, where: str) -> Region:
-    doc = _object(doc, where)
+    doc = _object(doc, where, ("kind", "iterations", "body_length", "live_in",
+                               "reg_widths", "ops"))
     kind = _require(doc, "kind", where)
     if kind not in (LOOP, STRAIGHT):
         raise ParseError(f"kind must be '{LOOP}' or '{STRAIGHT}'", where)
@@ -253,13 +267,14 @@ def parse_program(text: str) -> ScheduledProgram:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
+    _object(doc, "top", ("functions", "dependencies", "main", "inputs"))
 
     functions = []
     ids = set()
     for i, fdoc in enumerate(_require_list(doc, "functions", "top")):
         where = f"functions[{i}]"
-        fdoc = _object(fdoc, where)
-        fid = str(_require(fdoc, "id", where))
+        fdoc = _object(fdoc, where, ("id", "result_regs", "regions"))
+        fid = _require_str(fdoc, "id", where)
         if fid in ids:
             raise ParseError(f"duplicate function id '{fid}'", where)
         ids.add(fid)
@@ -274,9 +289,10 @@ def parse_program(text: str) -> ScheduledProgram:
     deps = []
     for i, pair in enumerate(_require_list(doc, "dependencies", "top")):
         where = f"dependencies[{i}]"
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError("dependency must be a [pred, succ] pair", where)
-        pred, succ = str(pair[0]), str(pair[1])
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not all(isinstance(fid, str) for fid in pair)):
+            raise ParseError("dependency must be a [pred, succ] pair of ids", where)
+        pred, succ = pair
         for fid in (pred, succ):
             if fid not in ids:
                 raise ParseError(f"dangling reference to function '{fid}'", where)
@@ -284,19 +300,19 @@ def parse_program(text: str) -> ScheduledProgram:
 
     main_items: List[MainItem] = []
     if "main" in doc:
-        for i, item in enumerate(_require_list(_object(doc["main"], "main"),
+        for i, item in enumerate(_require_list(_object(doc["main"], "main", ("sequence",)),
                                                "sequence", "main")):
             where = f"main.sequence[{i}]"
-            item = _object(item, where)
+            item = _object(item, where, ("call", "op"))
+            if len(item) != 1:
+                raise ParseError("item must carry exactly one of 'call' and 'op'", where)
             if "call" in item:
-                fid = str(item["call"])
+                fid = _require_str(item, "call", where)
                 if fid not in ids:
                     raise ParseError(f"dangling reference to function '{fid}'", where)
                 main_items.append(("call", fid))
-            elif "op" in item:
-                main_items.append(("op", _parse_op(item["op"], where)))
             else:
-                raise ParseError("item must carry 'call' or 'op'", where)
+                main_items.append(("op", _parse_op(item["op"], where)))
 
     inputs = doc.get("inputs", {})
     if not isinstance(inputs, dict):
@@ -304,9 +320,11 @@ def parse_program(text: str) -> ScheduledProgram:
     for reg, v in inputs.items():
         if not _is_int(v):
             raise ParseError(f"value of '{reg}' must be an integer", "inputs")
+        if v < 0:
+            raise ParseError(f"value of '{reg}' must not be negative", "inputs")
     program = ScheduledProgram(functions=tuple(functions), dependencies=tuple(deps),
                                main_sequence=tuple(main_items),
-                               default_inputs={str(k): v & U32 for k, v in inputs.items()})
+                               default_inputs={k: v & U32 for k, v in inputs.items()})
     try:
         program.topo_order()
     except ProgramError as exc:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dftsim import benchgen
 from dftsim.program import (
     FunctionSchedule,
     Operation,
@@ -91,12 +92,17 @@ def test_entry_set_of_parallel_function():
 
 
 def test_schema_file_accepts_serialized_programs():
+    # the parser accepts what it serializes, and so does the schema
     jsonschema = pytest.importorskip("jsonschema")
     from importlib import resources
     schema = json.loads(resources.files("dftsim")
                         .joinpath("schema/program.schema.json").read_text())
-    program = parse_program(MINIMAL)
-    jsonschema.validate(json.loads(serialize_program(program)), schema)
+    programs = [parse_program(MINIMAL)]
+    programs += [benchgen.preset_program(name) for name in benchgen.PRESETS]
+    for program in programs:
+        text = serialize_program(program)
+        jsonschema.validate(json.loads(text), schema)
+        assert parse_program(text) == program
 
 
 def test_serialize_round_trip():
