@@ -92,7 +92,6 @@ from __future__ import annotations
 import hashlib
 import statistics
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -363,7 +362,6 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     running: Dict[str, trk.TrackerState] = {}
     for fid in state.running:
         running[fid] = trackers[fid] = trackers[fid].copy()
-    pending = deque(trace.points)
     position = wall = state.position
     ff_stores = 0
     slice_events = 0
@@ -381,83 +379,84 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     candidates: Sequence[str] = state.candidates
     done: List[str] = list(state.done)
 
-    while pending or states is not None:
-        if pending and pending[0] == position:
-            point = pending.popleft()
-            boundary = {fid: tr.boundary_status() for fid, tr in running.items()}
-            emitted = trk.snapshot(running)
-            ff_here = 0
-            slices_here = 0
-            if policy.name == DFT:
-                key = (tuple(emitted.items()), tuple(done))
-                hit = dft_stores.get(key)
-                if hit is None:
-                    hit = dft_stores[key] = store_set(prep, emitted, done)
-                ff_here, slices_here, lost = hit
-                store_cost += slices_here
-                for i in lost:
-                    regs[i] = reload[i]
-                rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
-                               default=0)
-            elif policy.name == FULLCHIP:
-                ff_here = grid_slices * cfg.ffs_per_slice
-                slices_here = grid_slices
-                store_cost += grid_slices
-                rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
-                               default=0)
-            else:  # cp: discard in-flight states, resume at last boundary
-                rollback = max((tr.spec.max_cycles - tr.remaining
-                                for tr in running.values()), default=0)
-                for tr in running.values():
-                    tr.count = tr.iter_ = 0
-                    tr.remaining = tr.spec.max_cycles
-                survivors = {i for fid in done for i in prep.results[fid]}
-                for fid in (*running, *done):
-                    for i in prep.written[fid]:
-                        if i not in survivors:
-                            regs[i] = reload[i]
-            ff_stores += ff_here
-            slice_events += slices_here
-            outages.append(OutageRecord(point=point, rollback=rollback,
-                                        ff_stored=ff_here, slices_stored=slices_here))
-            position = prep.total_cycles - max(
-                [tr.remaining + after[fid] for fid, tr in running.items()]
-                + [trackers[fid].remaining + after[fid] for fid in candidates])
-            continue
+    end = prep.total_cycles
+    # step from event to event up to each outage point; the run that
+    # records the states steps on to the end
+    points = trace.points if states is None else (*trace.points, end)
+    for point in points:
+        while position < point:
+            for fid in candidates:
+                tr = trackers[fid]
+                if tr.phase == trk.IDLE and trk.can_start(
+                        tr, [trackers[p].lock_tail for p in preds[fid]]):
+                    tr = running[fid] = trackers[fid] = tr.copy()
+                    tr.start()
+            candidates = ()
+            if not running:
+                raise ProgramError("simulation stalled: unstartable functions remain")
 
-        for fid in candidates:
-            tr = trackers[fid]
-            if tr.phase == trk.IDLE and trk.can_start(
-                    tr, [trackers[p].lock_tail for p in preds[fid]]):
-                tr = running[fid] = trackers[fid] = tr.copy()
-                tr.start()
-        candidates = ()
-        if not running:
-            if len(done) == len(trackers):
-                break
-            raise ProgramError("simulation stalled: unstartable functions remain")
+            seg = min(point - position, min(tr.remaining for tr in running.values()))
+            for fid, tr in running.items():
+                kernels[fid].run(regs, tr.count, tr.count + seg)
+                tr.advance(seg)
+            position += seg
+            wall += seg
+            finished = [fid for fid, tr in running.items() if tr.phase == trk.DONE]
+            if finished:
+                for fid in finished:
+                    del running[fid]
+                done += finished
+                candidates = tuple(dict.fromkeys(
+                    s for fid in finished for s in prep.succs[fid]))
+                if states is not None:
+                    states.append(RunState(
+                        position=position, regs=tuple(regs),
+                        trackers={**trackers,
+                                  **{fid: tr.copy() for fid, tr in running.items()}},
+                        running=tuple(running), done=tuple(done),
+                        candidates=candidates))
+        if point == end:
+            break
 
-        seg = min(tr.remaining for tr in running.values())
-        if pending:
-            seg = min(seg, pending[0] - position)
-        for fid, tr in running.items():
-            kernels[fid].run(regs, tr.count, tr.count + seg)
-            tr.advance(seg)
-        position += seg
-        wall += seg
-        finished = [fid for fid, tr in running.items() if tr.phase == trk.DONE]
-        if finished:
-            for fid in finished:
-                del running[fid]
-            done += finished
-            candidates = tuple(dict.fromkeys(
-                s for fid in finished for s in prep.succs[fid]))
-            if states is not None:
-                states.append(RunState(
-                    position=position, regs=tuple(regs),
-                    trackers={**trackers,
-                              **{fid: tr.copy() for fid, tr in running.items()}},
-                    running=tuple(running), done=tuple(done), candidates=candidates))
+        boundary = {fid: tr.boundary_status() for fid, tr in running.items()}
+        emitted = trk.snapshot(running)
+        ff_here = 0
+        slices_here = 0
+        if policy.name == DFT:
+            key = (tuple(emitted.items()), tuple(done))
+            hit = dft_stores.get(key)
+            if hit is None:
+                hit = dft_stores[key] = store_set(prep, emitted, done)
+            ff_here, slices_here, lost = hit
+            store_cost += slices_here
+            for i in lost:
+                regs[i] = reload[i]
+            rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
+                           default=0)
+        elif policy.name == FULLCHIP:
+            ff_here = grid_slices * cfg.ffs_per_slice
+            slices_here = grid_slices
+            store_cost += grid_slices
+            rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
+                           default=0)
+        else:  # cp: discard in-flight states, resume at last boundary
+            rollback = max((tr.spec.max_cycles - tr.remaining
+                            for tr in running.values()), default=0)
+            for tr in running.values():
+                tr.count = tr.iter_ = 0
+                tr.remaining = tr.spec.max_cycles
+            survivors = {i for fid in done for i in prep.results[fid]}
+            for fid in (*running, *done):
+                for i in prep.written[fid]:
+                    if i not in survivors:
+                        regs[i] = reload[i]
+        ff_stores += ff_here
+        slice_events += slices_here
+        outages.append(OutageRecord(point=point, rollback=rollback,
+                                    ff_stored=ff_here, slices_stored=slices_here))
+        position = end - max(
+            [tr.remaining + after[fid] for fid, tr in running.items()]
+            + [trackers[fid].remaining + after[fid] for fid in candidates])
 
     # the rest of the run, after the last outage
     for fid, tr in running.items():
@@ -465,7 +464,7 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     for fid in prep.order:
         if trackers[fid].phase == trk.IDLE:
             kernels[fid].run(regs, 0, prep.specs[fid].max_cycles)
-    wall += prep.total_cycles - position
+    wall += end - position
 
     if policy.name == CP:
         # every function completes once per run, and its checkpoint fires
