@@ -51,11 +51,11 @@ class BenchmarkShape:
     iterations: Tuple[int, int]
     ops_per_state: Tuple[int, int]
     result_regs: int
-    reg_width: int = 32
-    multicycle_frac: float = 0.2
-    max_span: int = 4
-    accumulators: int = 0
-    seed: int = 1
+    reg_width: int
+    multicycle_frac: float
+    max_span: int
+    accumulators: int
+    seed: int
 
     def check(self) -> None:
         if self.states < 1:
@@ -71,18 +71,8 @@ class BenchmarkShape:
 
 
 def load_shape(text: str) -> BenchmarkShape:
-    doc = json.loads(text)
-    return BenchmarkShape(
-        name=doc["name"], states=doc["states"],
-        body_length=tuple(doc["body_length"]),
-        iterations=tuple(doc["iterations"]),
-        ops_per_state=tuple(doc["ops_per_state"]),
-        result_regs=doc["result_regs"],
-        reg_width=doc.get("reg_width", 32),
-        multicycle_frac=doc.get("multicycle_frac", 0.2),
-        max_span=doc.get("max_span", 4),
-        accumulators=doc.get("accumulators", 0),
-        seed=doc.get("seed", 1))
+    return BenchmarkShape(**{key: tuple(value) if isinstance(value, list) else value
+                             for key, value in json.loads(text).items()})
 
 
 def preset_shape(name: str) -> BenchmarkShape:

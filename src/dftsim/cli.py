@@ -265,25 +265,16 @@ def cmd_compare(args) -> int:
         results = [_run_cell(j) for j in jobs]
 
     by_key = {(r[0], r[1], r[2]): r for r in results}
-    header = ["benchmark", "policy", "k", "mean", "stddev", "rounds", "seed"]
-    with open(out / "rollback.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for name, _ in sources:
-            for pol in policies:
-                for k in ks:
-                    r = by_key[(name, pol, k)]
-                    w.writerow([name, pol, k, f"{r[3]:.6f}", f"{r[4]:.6f}",
-                                args.rounds, args.seed])
-    with open(out / "ffstores.csv", "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for name, _ in sources:
-            for pol in policies:
-                for k in ks:
-                    r = by_key[(name, pol, k)]
-                    w.writerow([name, pol, k, f"{r[5]:.6f}", f"{r[6]:.6f}",
-                                args.rounds, args.seed])
+    for filename, mean, std in (("rollback.csv", 3, 4), ("ffstores.csv", 5, 6)):
+        with open(out / filename, "w", newline="\n") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["benchmark", "policy", "k", "mean", "stddev", "rounds", "seed"])
+            for name, _ in sources:
+                for pol in policies:
+                    for k in ks:
+                        r = by_key[(name, pol, k)]
+                        w.writerow([name, pol, k, f"{r[mean]:.6f}", f"{r[std]:.6f}",
+                                    args.rounds, args.seed])
     with open(out / "bram.csv", "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["benchmark", "states", "bram_dft", "bram_cp"])

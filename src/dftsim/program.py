@@ -1,10 +1,13 @@
 """Scheduled-program IR: types, parsing, validation, reference execution.
 
 A program is a set of functions with cycle-accurate operation schedules,
-chained by a dependency DAG. This module owns the document schema (see
-``schema/program.schema.json``), the structural validator, and the golden
-uninterrupted executor used as the correctness oracle by every simulation
-policy.
+chained by a dependency DAG. This module owns the parser, the structural
+validator, and the golden uninterrupted executor used as the correctness
+oracle by every simulation policy.
+
+``schema/program.schema.json`` is the only description of the document's
+shape: ``parse_program`` walks it for every type, range, required-field and
+unknown-field check, and keeps in code only what a schema cannot say.
 
 Semantics fixed here and relied on everywhere else:
 
@@ -20,13 +23,14 @@ Semantics fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import engine
 
-OPCODES = ("const", "pass", "add", "sub", "mul", "xor")
 _ARITY = {"const": 0, "pass": 1, "add": 2, "sub": 2, "mul": 2, "xor": 2}
 U32 = 0xFFFFFFFF
 
@@ -165,101 +169,119 @@ class Violation:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _object(doc, where: str, fields: Sequence[str]) -> dict:
-    """``doc`` as an object holding no field outside ``fields``."""
-    if not isinstance(doc, dict):
-        raise ParseError("must be an object", where)
-    for key in doc:
-        if key not in fields:
-            raise ParseError(f"unknown field '{key}'", where)
-    return doc
+#: The JSON Schema keywords that ``_walk`` implements or may ignore as
+#: annotations; the shipped schema must use no other.
+SCHEMA_KEYWORDS = frozenset((
+    "$schema", "title", "definitions", "errorMessage", "$ref", "type", "enum",
+    "properties", "required", "additionalProperties", "items", "minItems",
+    "maxItems", "minProperties", "maxProperties", "minimum", "maximum"))
+
+_TYPES = {"object": (dict, "an object"), "array": (list, "a list"),
+          "string": (str, "a string"), "integer": (int, "an integer")}
 
 
-def _require(obj: Mapping, key: str, where: str):
-    if key not in obj:
-        raise ParseError(f"missing field '{key}'", where)
-    return obj[key]
+@functools.cache
+def _schema() -> dict:
+    """``schema/program.schema.json``, read on the first parse."""
+    return json.loads(resources.files("dftsim")
+                      .joinpath("schema/program.schema.json").read_text())
 
 
-def _require_str(obj: Mapping, key: str, where: str) -> str:
-    value = _require(obj, key, where)
-    if not isinstance(value, str):
-        raise ParseError(f"{key} must be a string", where)
-    return value
+def _resolve(node: Mapping) -> Mapping:
+    """``node``, or the schema node its local ``$ref`` (``#/a/b``) names."""
+    if "$ref" in node:
+        ref, node = node["$ref"], _schema()
+        for key in ref[2:].split("/"):
+            node = node[key]
+    return node
 
 
-def _require_list(obj: Mapping, key: str, where: str) -> list:
-    value = _require(obj, key, where)
-    if not isinstance(value, list):
-        raise ParseError(f"{key} must be a list", where)
-    return value
+def _violation(value, node: Mapping) -> Optional[str]:
+    """The first of ``node``'s own keywords that ``value`` breaks, if any.
+
+    ``value`` already has ``node``'s type.
+    """
+    if "enum" in node and value not in node["enum"]:
+        return "must be one of " + ", ".join(map(repr, node["enum"]))
+    low = node.get("minimum")
+    if low is not None and value < low:
+        return "must not be negative" if low == 0 else f"must be at least {low}"
+    if "maximum" in node and value > node["maximum"]:
+        return f"must be at most {node['maximum']}"
+    if node.get("additionalProperties") is False:
+        for key in value:
+            if key not in node.get("properties", {}):
+                return f"unknown field '{key}'"
+    for key in node.get("required", ()):
+        if key not in value:
+            return f"missing field '{key}'"
+    noun = "items" if isinstance(value, list) else "fields"
+    low = node.get("minItems", node.get("minProperties"))
+    if low is not None and len(value) < low:
+        return "must not be empty" if low == 1 else f"must have at least {low} {noun}"
+    high = node.get("maxItems", node.get("maxProperties"))
+    if high is not None and len(value) > high:
+        return f"must have at most {high} {noun}"
+    return None
 
 
-def _reg_ids(value, name: str, where: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(r, str) for r in value):
-        raise ParseError(f"{name} must be a list of register ids", where)
-    return value
+def _walk(value, node: Mapping, path: str, where: str, label: str) -> None:
+    """Check ``value``, found at ``path`` in the document, against ``node``.
+
+    A failure of ``value`` itself reads ``where: label message``. An object
+    with declared properties, and a list item, are reported at their own
+    path; a property at its parent's, named by its key; a map value at the
+    map's, as ``value of '<key>'``. An ``errorMessage`` replaces the
+    messages of the node and of its items, except an object's type error.
+    JSON ``true`` and ``false`` are not integers, nor is ``1.0``.
+    """
+    node = _resolve(node)
+    if "properties" in node:
+        where, label = path or "top", ""
+    override = node.get("errorMessage")
+    kind = node.get("type")
+    if kind is not None:
+        cls, noun = _TYPES[kind]
+        if not isinstance(value, cls) or isinstance(value, bool):
+            message = override if override and kind != "object" else f"must be {noun}"
+            raise ParseError(label + message, where)
+    try:
+        message = _violation(value, node)
+        if message is None and "items" in node:
+            for i, item in enumerate(value):
+                _walk(item, node["items"], f"{path}[{i}]", f"{path}[{i}]", "")
+    except ParseError:
+        if override is None:
+            raise
+        message = override
+    if message is not None:
+        raise ParseError(label + (override or message), where)
+    if isinstance(value, dict):
+        extra = node.get("additionalProperties")
+        for key, item in value.items():
+            child = f"{path}.{key}" if path else key
+            if key in node.get("properties", {}):
+                _walk(item, node["properties"][key], child, path or "top", f"{key} ")
+            elif isinstance(extra, dict):
+                _walk(item, extra, child, path, f"value of '{key}' ")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; ``true`` and ``false`` are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse_op(doc: Mapping, where: str) -> Operation:
-    doc = _object(doc, where, ("id", "opcode", "inputs", "output", "start", "end", "value"))
-    opid = _require_str(doc, "id", where)
-    opcode = _require(doc, "opcode", where)
-    if opcode not in OPCODES:
-        raise ParseError(f"unknown opcode '{opcode}'", where)
-    inputs = _reg_ids(_require(doc, "inputs", where), "inputs", where)
-    start = _require(doc, "start", where)
-    end = _require(doc, "end", where)
-    if not _is_int(start) or not _is_int(end):
-        raise ParseError("start/end must be integers", where)
-    value = doc.get("value", 0)
-    if not _is_int(value):
-        raise ParseError("value must be an integer", where)
-    if value < 0:
-        raise ParseError("value must not be negative", where)
-    return Operation(id=opid, opcode=opcode, inputs=tuple(inputs),
-                     output=_require_str(doc, "output", where),
-                     start=start, end=end, value=value & U32)
-
-
-def _parse_region(doc: Mapping, where: str) -> Region:
-    doc = _object(doc, where, ("kind", "iterations", "body_length", "live_in",
-                               "reg_widths", "ops"))
-    kind = _require(doc, "kind", where)
-    if kind not in (LOOP, STRAIGHT):
-        raise ParseError(f"kind must be '{LOOP}' or '{STRAIGHT}'", where)
-    iterations = _require(doc, "iterations", where)
-    body_length = _require(doc, "body_length", where)
-    if not _is_int(iterations) or iterations < 1:
-        raise ParseError("iterations must be a positive integer", where)
-    if kind == STRAIGHT and iterations != 1:
-        raise ParseError("straight region must have iterations = 1", where)
-    if not _is_int(body_length) or body_length < 1:
-        raise ParseError("body_length must be a positive integer", where)
-    live_in = _reg_ids(doc.get("live_in", []), "live_in", where)
-    ops = tuple(_parse_op(o, f"{where}.ops[{i}]")
-                for i, o in enumerate(_require_list(doc, "ops", where)))
-    widths = doc.get("reg_widths", {})
-    if not isinstance(widths, dict):
-        raise ParseError("reg_widths must be an object", where)
-    for reg, w in widths.items():
-        if not _is_int(w) or not 1 <= w <= 32:
-            raise ParseError(f"width of '{reg}' must be in 1..32", where)
-    return Region(kind=kind, iterations=iterations, body_length=body_length,
-                  live_in=tuple(live_in), ops=ops, reg_widths=dict(widths))
+def _operation(doc: Mapping) -> Operation:
+    """A checked op object as an ``Operation``: the schema's field names are
+    the dataclasses' field names, here and for ``Region``."""
+    return Operation(**{**doc, "inputs": tuple(doc["inputs"]),
+                        "value": doc.get("value", 0) & U32})
 
 
 def parse_program(text: str) -> ScheduledProgram:
     """Parse a program-description document (JSON).
 
-    Raises ParseError, located in the document, for schema violations,
-    dangling references and cyclic dependencies; deeper schedule
-    invariants are left to ``validate``.
+    Raises ParseError, located in the document. Types, ranges, required
+    and unknown fields come from walking ``schema/program.schema.json``;
+    code checks only what the schema cannot say: duplicate function ids,
+    straight regions with ``iterations != 1``, dangling function
+    references and dependency cycles. Deeper schedule invariants are left
+    to ``validate``.
     """
     try:
         doc = json.loads(text)
@@ -267,69 +289,51 @@ def parse_program(text: str) -> ScheduledProgram:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
-    _object(doc, "top", ("functions", "dependencies", "main", "inputs"))
+    _walk(doc, _schema(), "", "top", "")
 
-    functions = []
     ids = set()
-    for i, fdoc in enumerate(_require_list(doc, "functions", "top")):
-        where = f"functions[{i}]"
-        fdoc = _object(fdoc, where, ("id", "result_regs", "regions"))
-        fid = _require_str(fdoc, "id", where)
-        if fid in ids:
-            raise ParseError(f"duplicate function id '{fid}'", where)
-        ids.add(fid)
-        result_regs = _reg_ids(_require(fdoc, "result_regs", where), "result_regs", where)
-        regions = tuple(_parse_region(r, f"{where}.regions[{j}]")
-                        for j, r in enumerate(_require_list(fdoc, "regions", where)))
-        if not regions:
-            raise ParseError("region list is empty", where)
-        functions.append(FunctionSchedule(id=fid, regions=regions,
-                                          result_regs=frozenset(result_regs)))
+    for i, fdoc in enumerate(doc["functions"]):
+        if fdoc["id"] in ids:
+            raise ParseError(f"duplicate function id '{fdoc['id']}'", f"functions[{i}]")
+        ids.add(fdoc["id"])
+        for j, rdoc in enumerate(fdoc["regions"]):
+            if rdoc["kind"] == STRAIGHT and rdoc["iterations"] != 1:
+                raise ParseError("straight region must have iterations = 1",
+                                 f"functions[{i}].regions[{j}]")
+    sequence = doc.get("main", {"sequence": []})["sequence"]
+    refs = [(f"dependencies[{i}]", fid) for i, pair in enumerate(doc["dependencies"])
+            for fid in pair]
+    refs += [(f"main.sequence[{i}]", item["call"]) for i, item in enumerate(sequence)
+             if "call" in item]
+    for where, fid in refs:
+        if fid not in ids:
+            raise ParseError(f"dangling reference to function '{fid}'", where)
 
-    deps = []
-    for i, pair in enumerate(_require_list(doc, "dependencies", "top")):
-        where = f"dependencies[{i}]"
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(fid, str) for fid in pair)):
-            raise ParseError("dependency must be a [pred, succ] pair of ids", where)
-        pred, succ = pair
-        for fid in (pred, succ):
-            if fid not in ids:
-                raise ParseError(f"dangling reference to function '{fid}'", where)
-        deps.append((pred, succ))
-
-    main_items: List[MainItem] = []
-    if "main" in doc:
-        for i, item in enumerate(_require_list(_object(doc["main"], "main", ("sequence",)),
-                                               "sequence", "main")):
-            where = f"main.sequence[{i}]"
-            item = _object(item, where, ("call", "op"))
-            if len(item) != 1:
-                raise ParseError("item must carry exactly one of 'call' and 'op'", where)
-            if "call" in item:
-                fid = _require_str(item, "call", where)
-                if fid not in ids:
-                    raise ParseError(f"dangling reference to function '{fid}'", where)
-                main_items.append(("call", fid))
-            else:
-                main_items.append(("op", _parse_op(item["op"], where)))
-
-    inputs = doc.get("inputs", {})
-    if not isinstance(inputs, dict):
-        raise ParseError("inputs must be an object", "top")
-    for reg, v in inputs.items():
-        if not _is_int(v):
-            raise ParseError(f"value of '{reg}' must be an integer", "inputs")
-        if v < 0:
-            raise ParseError(f"value of '{reg}' must not be negative", "inputs")
-    program = ScheduledProgram(functions=tuple(functions), dependencies=tuple(deps),
-                               main_sequence=tuple(main_items),
-                               default_inputs={k: v & U32 for k, v in inputs.items()})
+    functions = tuple(
+        FunctionSchedule(
+            id=fdoc["id"], result_regs=frozenset(fdoc["result_regs"]),
+            regions=tuple(Region(**{**rdoc, "live_in": tuple(rdoc.get("live_in", ())),
+                                    "ops": tuple(map(_operation, rdoc["ops"]))})
+                          for rdoc in fdoc["regions"]))
+        for fdoc in doc["functions"])
+    program = ScheduledProgram(
+        functions=functions, dependencies=tuple(map(tuple, doc["dependencies"])),
+        main_sequence=tuple(("call", item["call"]) if "call" in item
+                            else ("op", _operation(item["op"])) for item in sequence),
+        default_inputs={k: v & U32 for k, v in doc.get("inputs", {}).items()})
     try:
         program.topo_order()
     except ProgramError as exc:
         raise ParseError(str(exc), "dependencies") from None
     return program
+
+
+def _op_doc(op: Operation) -> Dict:
+    doc = {"id": op.id, "opcode": op.opcode, "inputs": list(op.inputs),
+           "output": op.output, "start": op.start, "end": op.end}
+    if op.opcode == "const":
+        doc["value"] = op.value
+    return doc
 
 
 def serialize_program(program: ScheduledProgram) -> str:
@@ -346,12 +350,7 @@ def serialize_program(program: ScheduledProgram) -> str:
                         "body_length": r.body_length,
                         "live_in": list(r.live_in),
                         "reg_widths": {k: r.reg_widths[k] for k in sorted(r.reg_widths)},
-                        "ops": [
-                            {"id": o.id, "opcode": o.opcode, "inputs": list(o.inputs),
-                             "output": o.output, "start": o.start, "end": o.end,
-                             **({"value": o.value} if o.opcode == "const" else {})}
-                            for o in r.ops
-                        ],
+                        "ops": [_op_doc(o) for o in r.ops],
                     }
                     for r in f.regions
                 ],
@@ -362,10 +361,7 @@ def serialize_program(program: ScheduledProgram) -> str:
     }
     if program.main_sequence:
         doc["main"] = {"sequence": [
-            {"call": x} if tag == "call" else {"op": {
-                "id": x.id, "opcode": x.opcode, "inputs": list(x.inputs),
-                "output": x.output, "start": x.start, "end": x.end,
-                **({"value": x.value} if x.opcode == "const" else {})}}
+            {"call": x} if tag == "call" else {"op": _op_doc(x)}
             for tag, x in program.main_sequence
         ]}
     if program.default_inputs:

@@ -165,6 +165,7 @@ REGION = FN + ("regions", 0)
     (("inputs",), {"a": True}, "inputs: value of 'a' must be an integer"),
     (("inputs",), {"a": -1}, "inputs: value of 'a' must not be negative"),
     (REGION + ("ops", 0, "value"), -3, "functions[0].regions[0].ops[0]: value must not be negative"),
+    (REGION + ("ops", 0, "start"), -1, "functions[0].regions[0].ops[0]: start must not be negative"),
     (FN + ("id",), 5, "functions[0]: id must be a string"),
     (REGION + ("ops", 0, "output"), 5, "functions[0].regions[0].ops[0]: output must be a string"),
     (("dependencies",), [["f", 5]],
@@ -180,10 +181,10 @@ REGION = FN + ("regions", 0)
         "main-not-object", "main-item-not-object", "region-not-object", "ops-not-list",
         "result-regs-not-list", "result-reg-not-string", "live-in-not-string",
         "boolean-iterations", "string-input", "boolean-input", "negative-input",
-        "negative-op-value", "function-id-not-string", "op-output-not-string",
-        "dependency-id-not-string", "main-item-call-and-op", "unknown-top-field",
-        "unknown-function-field", "unknown-region-field", "unknown-op-field",
-        "unknown-main-field"))
+        "negative-op-value", "negative-op-start", "function-id-not-string",
+        "op-output-not-string", "dependency-id-not-string", "main-item-call-and-op",
+        "unknown-top-field", "unknown-function-field", "unknown-region-field",
+        "unknown-op-field", "unknown-main-field"))
 def test_malformed_program_exits_validation(path, value, located, tmp_path, capsys):
     doc = {"functions": [{"id": "f", "result_regs": ["y"], "regions": [
         {"kind": "straight", "iterations": 1, "body_length": 1, "live_in": ["a"],

@@ -1,7 +1,9 @@
 """Program IR: parsing, validation, and the golden reference executor."""
 
+import copy
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -11,8 +13,10 @@ from dftsim.program import (
     Operation,
     ParseError,
     Region,
+    SCHEMA_KEYWORDS,
     ScheduledProgram,
     UnboundLiveInError,
+    _TYPES,
     execute_reference,
     parse_program,
     serialize_program,
@@ -91,18 +95,116 @@ def test_entry_set_of_parallel_function():
     assert program.entry_ids == {"f1", "f3"}
 
 
+def shipped_schema():
+    return json.loads(resources.files("dftsim")
+                      .joinpath("schema/program.schema.json").read_text())
+
+
 def test_schema_file_accepts_serialized_programs():
     # the parser accepts what it serializes, and so does the schema
     jsonschema = pytest.importorskip("jsonschema")
-    from importlib import resources
-    schema = json.loads(resources.files("dftsim")
-                        .joinpath("schema/program.schema.json").read_text())
+    schema = shipped_schema()
     programs = [parse_program(MINIMAL)]
     programs += [benchgen.preset_program(name) for name in benchgen.PRESETS]
     for program in programs:
         text = serialize_program(program)
         jsonschema.validate(json.loads(text), schema)
         assert parse_program(text) == program
+
+
+def schema_nodes(node):
+    yield node
+    for key in ("properties", "definitions"):
+        for sub in node.get(key, {}).values():
+            yield from schema_nodes(sub)
+    for key in ("items", "additionalProperties"):
+        if isinstance(node.get(key), dict):
+            yield from schema_nodes(node[key])
+
+
+def test_schema_uses_only_walked_keywords():
+    # a keyword or type the parser's walker does not implement would be ignored
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = shipped_schema()
+    jsonschema.Draft7Validator.check_schema(schema)
+    nodes = list(schema_nodes(schema))
+    assert {key for node in nodes for key in node} <= SCHEMA_KEYWORDS
+    assert {node["type"] for node in nodes if "type" in node} <= set(_TYPES)
+
+
+RICH = {
+    "functions": [
+        {"id": "f", "result_regs": ["y"], "regions": [
+            {"kind": "straight", "iterations": 1, "body_length": 2, "live_in": ["a"],
+             "reg_widths": {"y": 8},
+             "ops": [{"id": "o", "opcode": "add", "inputs": ["a", "a"], "output": "y",
+                      "start": 0, "end": 1}]}]},
+        {"id": "g", "result_regs": [], "regions": [
+            {"kind": "loop", "iterations": 2, "body_length": 1, "ops": []}]}],
+    "dependencies": [["f", "g"]],
+    "main": {"sequence": [
+        {"call": "f"},
+        {"op": {"id": "m", "opcode": "const", "inputs": [], "output": "z",
+                "start": 0, "end": 0, "value": 7}}]},
+    "inputs": {"a": 1},
+}
+DELETE, RENAME = object(), object()
+# messages of the checks the schema cannot express
+CROSS_REFERENCE = ("dangling reference", "duplicate function id", "straight region",
+                   "dependency cycle")
+
+
+def doc_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from doc_paths(value, prefix + (key,))
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutant(path, value):
+    doc = copy.deepcopy(RICH)
+    *parents, last = path
+    parent = value_at(doc, parents)
+    if value is DELETE:
+        del parent[last]
+    elif value is RENAME:
+        parent["bogus"] = parent.pop(last)
+    else:
+        parent[last] = value
+    return doc
+
+
+def test_parser_agrees_with_schema_on_single_field_mutations():
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft7Validator(shipped_schema())
+    assert validator.is_valid(RICH) and parse_program(json.dumps(RICH))
+    paths = list(doc_paths(RICH))
+    objects = [()] + [p for p in paths if isinstance(value_at(RICH, p), dict)]
+    cases = [(p, v) for p in paths
+             for v in (None, True, -1, 0, 1.5, "x", [], [1], {}, DELETE)]
+    cases += [(p + ("bogus",), 1) for p in objects]
+    cases += [(p, RENAME) for p in paths if isinstance(p[-1], str)]
+    disagree = []
+    for path, value in cases:
+        doc = mutant(path, value)
+        by_schema = validator.is_valid(doc)
+        try:
+            parse_program(json.dumps(doc))
+            by_parser, message = True, ""
+        except ParseError as exc:
+            by_parser, message = False, str(exc)
+        if by_schema and not by_parser and any(m in message for m in CROSS_REFERENCE):
+            continue
+        if by_schema != by_parser:
+            disagree.append((path, value, by_schema, message))
+    assert disagree == []
 
 
 def test_serialize_round_trip():
@@ -219,7 +321,7 @@ def test_multi_cycle_visibility():
 
 
 def test_reference_is_deterministic():
-    from dftsim import benchgen
+    from dftsim import benchgen, program
     program = benchgen.generate(benchgen.random_small_shape(5))
     a = execute_reference(program)
     b = execute_reference(program)
@@ -229,7 +331,7 @@ def test_reference_is_deterministic():
 def test_engine_matches_dict_interpreter():
     # the generated engine and the dict interpreter behind execute_reference
     # are independent evaluators; they must agree on any valid program
-    from dftsim import benchgen
+    from dftsim import benchgen, program
     from dftsim.program import compile_program
 
     for seed in range(10):
