@@ -22,19 +22,12 @@ boundary statuses, ``tracker.snapshot`` and ``tracker.restore`` see the
 running ones alone.
 
 After the last outage nothing is traced any more, so a run finishes
-without the scheduler: one engine call steps each running function to
-its end, then one call per function not yet started steps it whole, in
-topological order, for the same reason. Progress then grows by one per
-cycle up to the makespan, so the wall clock gains the makespan less the
-position. Only the uninterrupted run that builds ``Prepared.states``
-keeps stepping from event to event, because it records every completion.
-
-A run copies a tracker only before it moves it: the running trackers of
-its start state when it begins, and an idle one when it starts. Idle
-trackers it never starts and finished ones stay shared with the start
-state, which only reads them (a finished tracker's tail lock and its
-zero cycles left), and a recorded state copies only its running
-trackers.
+without the scheduler: in topological order, one engine call steps each
+function with cycles left from its counter to its end, for the same
+reason. Progress then grows by one per cycle up to the makespan, so the
+wall clock gains the makespan less the position. Only the uninterrupted
+run that builds ``Prepared.states`` keeps stepping from event to event,
+because it records every completion.
 
 Until its first outage, an intermittent run is the uninterrupted run. So
 ``run`` does not step that part again: it starts from the last entry of
@@ -181,10 +174,8 @@ class SimulationReport:
 class RunState:
     """The scheduler's state at an event of the uninterrupted run.
 
-    A run that starts here instead of at cycle 0 copies the registers and
-    the running trackers, and copies an idle tracker when it starts it;
-    the state itself is never stepped, and shares its idle and finished
-    trackers with the runs that start from it.
+    A run that starts here instead of at cycle 0 copies the registers;
+    trackers are immutable values, so it shares them.
     """
     position: int
     regs: Tuple[int, ...]
@@ -283,7 +274,7 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
         reg_slices=tuple((reg_index[reg], mask) for reg, mask in placement.regs.items()),
         brams={DFT: bram_usage(table), CP: len(program.functions), FULLCHIP: 0},
         start=RunState(position=0, regs=tuple(compiled.new_regfile(bound)),
-                       trackers=trk.make_trackers(program, specs), running=(),
+                       trackers=trk.make_trackers(specs), running=(),
                        done=(), candidates=order),
         first_completion=min((specs[fid].max_cycles for fid in program.entry_ids),
                              default=0))
@@ -356,12 +347,9 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     kernels = prep.compiled.regions
 
     regs = list(state.regs)
-    # copied only before they move: the running ones here, an idle one
-    # when it starts
+    # every function's tracker, up to date for those not running
     trackers = dict(state.trackers)
-    running: Dict[str, trk.TrackerState] = {}
-    for fid in state.running:
-        running[fid] = trackers[fid] = trackers[fid].copy()
+    running = {fid: trackers[fid] for fid in state.running}
     position = wall = state.position
     ff_stores = 0
     slice_events = 0
@@ -385,12 +373,11 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     points = trace.points if states is None else (*trace.points, end)
     for point in points:
         while position < point:
+            # candidates are idle: the start state's whole order, or the
+            # successors of functions that have just finished
             for fid in candidates:
-                tr = trackers[fid]
-                if tr.phase == trk.IDLE and trk.can_start(
-                        tr, [trackers[p].lock_tail for p in preds[fid]]):
-                    tr = running[fid] = trackers[fid] = tr.copy()
-                    tr.start()
+                if trk.can_start(fid, preds, done):
+                    running[fid] = trackers[fid]
             candidates = ()
             if not running:
                 raise ProgramError("simulation stalled: unstartable functions remain")
@@ -398,28 +385,26 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
             seg = min(point - position, min(tr.remaining for tr in running.values()))
             for fid, tr in running.items():
                 kernels[fid].run(regs, tr.count, tr.count + seg)
-                tr.advance(seg)
+                running[fid] = tr.advance(seg)
             position += seg
             wall += seg
-            finished = [fid for fid, tr in running.items() if tr.phase == trk.DONE]
+            finished = [fid for fid, tr in running.items() if not tr.remaining]
             if finished:
                 for fid in finished:
-                    del running[fid]
+                    trackers[fid] = running.pop(fid)
                 done += finished
                 candidates = tuple(dict.fromkeys(
                     s for fid in finished for s in prep.succs[fid]))
                 if states is not None:
                     states.append(RunState(
                         position=position, regs=tuple(regs),
-                        trackers={**trackers,
-                                  **{fid: tr.copy() for fid, tr in running.items()}},
-                        running=tuple(running), done=tuple(done),
-                        candidates=candidates))
+                        trackers={**trackers, **running}, running=tuple(running),
+                        done=tuple(done), candidates=candidates))
         if point == end:
             break
 
         boundary = {fid: tr.boundary_status() for fid, tr in running.items()}
-        emitted = trk.snapshot(running)
+        emitted = trk.snapshot(running, boundary)
         ff_here = 0
         slices_here = 0
         if policy.name == DFT:
@@ -431,20 +416,18 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
             store_cost += slices_here
             for i in lost:
                 regs[i] = reload[i]
-            rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
-                           default=0)
+            running, rolled = trk.restore(running, boundary, prep.live_tables)
+            rollback = max(rolled.values(), default=0)
         elif policy.name == FULLCHIP:
             ff_here = grid_slices * cfg.ffs_per_slice
             slices_here = grid_slices
             store_cost += grid_slices
-            rollback = max(trk.restore(running, boundary, prep.live_tables).values(),
-                           default=0)
+            running, rolled = trk.restore(running, boundary, prep.live_tables)
+            rollback = max(rolled.values(), default=0)
         else:  # cp: discard in-flight states, resume at last boundary
             rollback = max((tr.spec.max_cycles - tr.remaining
                             for tr in running.values()), default=0)
-            for tr in running.values():
-                tr.count = tr.iter_ = 0
-                tr.remaining = tr.spec.max_cycles
+            running = {fid: prep.start.trackers[fid] for fid in running}
             survivors = {i for fid in done for i in prep.results[fid]}
             for fid in (*running, *done):
                 for i in prep.written[fid]:
@@ -458,12 +441,13 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
             [tr.remaining + after[fid] for fid, tr in running.items()]
             + [trackers[fid].remaining + after[fid] for fid in candidates])
 
-    # the rest of the run, after the last outage
-    for fid, tr in running.items():
-        kernels[fid].run(regs, tr.count, tr.count + tr.remaining)
+    # the rest of the run, after the last outage: running functions never
+    # depend on each other, and the order is topological
+    trackers.update(running)
     for fid in prep.order:
-        if trackers[fid].phase == trk.IDLE:
-            kernels[fid].run(regs, 0, prep.specs[fid].max_cycles)
+        tr = trackers[fid]
+        if tr.remaining:
+            kernels[fid].run(regs, tr.count, tr.count + tr.remaining)
     wall += end - position
 
     if policy.name == CP:

@@ -172,8 +172,8 @@ class Violation:
 #: The JSON Schema keywords that ``_walk`` implements or may ignore as
 #: annotations; the shipped schema must use no other.
 SCHEMA_KEYWORDS = frozenset((
-    "$schema", "title", "definitions", "errorMessage", "$ref", "type", "enum",
-    "properties", "required", "additionalProperties", "items", "minItems",
+    "$schema", "$comment", "title", "definitions", "errorMessage", "$ref", "type",
+    "enum", "properties", "required", "additionalProperties", "items", "minItems",
     "maxItems", "minProperties", "maxProperties", "minimum", "maximum"))
 
 _TYPES = {"object": (dict, "an object"), "array": (list, "a list"),

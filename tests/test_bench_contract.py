@@ -16,6 +16,13 @@ from test_bench_spans import load_spans
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("paper-grid", "outage-dense", "crash-sweep")
+# Entry points of the outage path: the workloads that take outages must
+# call each of them, so that no dftsim function stays only because the
+# tracer names it. (``make_trackers`` and ``resume_point`` run in set-up,
+# and ``crash-sweep`` makes its traces without ``gen_trace``.)
+OUTAGE_PATH = ("tracker.can_start", "tracker.snapshot", "tracker.restore",
+               "tracker.advance", "engine.region_run", "control_unit.row",
+               "placement.occupied_ffs")
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -33,3 +40,6 @@ def test_tiny_traced_repetition(workload):
     for name in load_spans().SPAN_NAMES:
         assert f"{name}.calls" in spans and f"{name}.self_s" in spans, name
     assert spans["powersim.run.calls"] > 0
+    if workload in ("outage-dense", "crash-sweep"):
+        for name in OUTAGE_PATH:
+            assert spans[f"{name}.calls"] > 0, name

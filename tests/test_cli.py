@@ -163,6 +163,8 @@ REGION = FN + ("regions", 0)
     (REGION + ("iterations",), True, "functions[0].regions[0]: iterations must be a positive integer"),
     (("inputs",), {"a": "x"}, "inputs: value of 'a' must be an integer"),
     (("inputs",), {"a": True}, "inputs: value of 'a' must be an integer"),
+    # stricter than Draft-7, as the schema's $comment says
+    (("inputs",), {"a": 1.0}, "inputs: value of 'a' must be an integer"),
     (("inputs",), {"a": -1}, "inputs: value of 'a' must not be negative"),
     (REGION + ("ops", 0, "value"), -3, "functions[0].regions[0].ops[0]: value must not be negative"),
     (REGION + ("ops", 0, "start"), -1, "functions[0].regions[0].ops[0]: start must not be negative"),
@@ -180,11 +182,11 @@ REGION = FN + ("regions", 0)
 ], ids=("functions-not-list", "function-not-object", "dependencies-not-list",
         "main-not-object", "main-item-not-object", "region-not-object", "ops-not-list",
         "result-regs-not-list", "result-reg-not-string", "live-in-not-string",
-        "boolean-iterations", "string-input", "boolean-input", "negative-input",
-        "negative-op-value", "negative-op-start", "function-id-not-string",
-        "op-output-not-string", "dependency-id-not-string", "main-item-call-and-op",
-        "unknown-top-field", "unknown-function-field", "unknown-region-field",
-        "unknown-op-field", "unknown-main-field"))
+        "boolean-iterations", "string-input", "boolean-input", "float-input",
+        "negative-input", "negative-op-value", "negative-op-start",
+        "function-id-not-string", "op-output-not-string", "dependency-id-not-string",
+        "main-item-call-and-op", "unknown-top-field", "unknown-function-field",
+        "unknown-region-field", "unknown-op-field", "unknown-main-field"))
 def test_malformed_program_exits_validation(path, value, located, tmp_path, capsys):
     doc = {"functions": [{"id": "f", "result_regs": ["y"], "regions": [
         {"kind": "straight", "iterations": 1, "body_length": 1, "live_in": ["a"],

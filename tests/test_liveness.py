@@ -116,15 +116,16 @@ def test_resume_point_table(region, resume):
 def test_restore_rolls_back_to_the_resume_point(region, resume):
     L = region.body_length
     f = FunctionSchedule(id="f", regions=(region,), result_regs=frozenset())
+    spec = make_tracker_spec(f)
     for n in range(L):
-        tr = trk.TrackerState(spec=make_tracker_spec(f))
-        tr.start()
-        tr.advance(n + 1)
-        if tr.phase == trk.DONE:     # a finished function has nothing to roll back
+        tr = trk.make_trackers({"f": spec})["f"].advance(n + 1)
+        if not tr.remaining:     # a finished function has nothing to roll back
             continue
-        status = trk.snapshot({"f": tr})["f"]
-        assert status == n + 1
-        rollback = trk.restore({"f": tr}, {"f": status}, {"f": live_sets(region)})
+        status = tr.boundary_status()
+        assert trk.snapshot({"f": tr}, {"f": status}) == {"f": n + 1}
+        rolled, rollback = trk.restore({"f": tr}, {"f": status}, {"f": live_sets(region)})
         assert rollback == {"f": n - resume[n]}
-        assert tr.count == (resume[n] + 1) % L
-        assert tr.remaining == tr.spec.max_cycles - tr.iter_ * L - tr.count
+        assert rolled["f"].count == (resume[n] + 1) % L
+        # body cycles done: n + 1 before the restore, the resume point's
+        # successor after it
+        assert rolled["f"].remaining == spec.max_cycles - (resume[n] + 1)

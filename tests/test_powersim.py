@@ -146,9 +146,9 @@ def test_trackers_start_only_on_completions(monkeypatch):
     # the last completion and checks none.
     calls = []
 
-    def counting(tracker, tails=()):
-        calls.append(tracker.spec.function_id)
-        return can_start(tracker, tails)
+    def counting(fid, preds, done):
+        calls.append(fid)
+        return can_start(fid, preds, done)
 
     can_start = trk.can_start
     monkeypatch.setattr(trk, "can_start", counting)
@@ -208,8 +208,8 @@ def test_corrupt_status_raises_on_a_repeated_key(fork_join, monkeypatch):
     snapshot = trk.snapshot
     seen = []
 
-    def corrupting(trackers):
-        out = snapshot(trackers)
+    def corrupting(trackers, boundary):
+        out = snapshot(trackers, boundary)
         seen.append(dict(out))
         if len(seen) == 5:
             assert seen[4] == seen[0] == {"A": 2}

@@ -75,16 +75,16 @@ def with_states(name):
 
 def frozen(prep):
     """A copy of everything a run may read from ``prep.start`` and
-    ``prep.states``, sharing no mutable object with them."""
-    return [(s.position, s.regs, s.running, s.done, s.candidates,
-             {fid: dict(vars(tr)) for fid, tr in s.trackers.items()})
+    ``prep.states``, sharing no mutable object with them: trackers are
+    immutable values, so a copy of each state's tracker dict will do."""
+    return [(s.position, s.regs, s.running, s.done, s.candidates, dict(s.trackers))
             for s in (prep.start, *prep.states)]
 
 
 @pytest.mark.parametrize("name", GUARDED)
 def test_single_outage_sweep_leaves_the_start_states_unchanged(name):
-    # runs share the trackers they do not move with the states they start
-    # from, so a run that moves one of them would corrupt every later run
+    # runs read the tracker dict and the registers of the state they start
+    # from, so a run that wrote into them would corrupt every later run
     prep = with_states(name)
     before = frozen(prep)
     for point in range(prep.total_cycles):
@@ -124,9 +124,9 @@ def test_outage_at_a_completion_fires_before_the_successors_start(
     snapshot = trk.snapshot
     seen = []
 
-    def recording(trackers):
+    def recording(trackers, boundary):
         seen.append(set(trackers))
-        return snapshot(trackers)
+        return snapshot(trackers, boundary)
 
     monkeypatch.setattr(trk, "snapshot", recording)
     for before, state in zip(prep.states, prep.states[1:-1]):

@@ -1,0 +1,96 @@
+"""Tracker values against a counter that steps one cycle at a time.
+
+``TrackerState.advance`` moves its two counters (the next body cycle and
+the body cycles left) by a whole segment at once. The reference below
+steps one cycle at a time and keeps an explicit iteration counter, as the
+tracker's hardware does; after every segment both must agree on the
+counters and on the boundary status.
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from dftsim import tracker as trk
+from dftsim.liveness import live_sets, make_tracker_spec
+from dftsim.program import FunctionSchedule, Operation, Region
+
+
+class Reference:
+    """A body counter that wraps at ``body_length`` and an iteration
+    counter, stepped one cycle at a time."""
+
+    def __init__(self, iterations, body_length):
+        self.iterations = iterations
+        self.body_length = body_length
+        self.count = 0
+        self.iteration = 0
+
+    def step(self):
+        self.count += 1
+        if self.count == self.body_length:
+            self.count = 0
+            self.iteration += 1
+
+    @property
+    def remaining(self):
+        return (self.iterations - self.iteration) * self.body_length - self.count
+
+    @property
+    def status(self):
+        if self.iteration == self.iterations:    # finished
+            return 0
+        if self.count:
+            return self.count
+        return self.body_length if self.iteration else 0
+
+
+def function(iterations, body_length):
+    """One op in flight over the whole body but its last cycle, so a
+    restore mid-body rolls back and one at a seam must not."""
+    m = Operation(id="m", opcode="pass", inputs=("x",), output="y",
+                  start=0, end=body_length - 1)
+    region = Region(kind="loop" if iterations > 1 else "straight",
+                    iterations=iterations, body_length=body_length,
+                    live_in=("x",), ops=(m,))
+    return FunctionSchedule(id="f", regions=(region,), result_regs=frozenset({"y"}))
+
+
+@st.composite
+def segments(draw):
+    """(iterations, body_length, segment lengths summing to the body
+    cycles of the whole function)."""
+    iterations = draw(st.integers(1, 6))
+    body_length = draw(st.integers(1, 7))
+    total = iterations * body_length
+    cuts = draw(st.lists(st.integers(0, total), max_size=12))
+    bounds = sorted({0, total, *cuts})
+    return iterations, body_length, [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments())
+@example((3, 4, [4, 4, 4]))
+@example((2, 5, [1, 4, 3, 2]))
+@example((1, 1, [1]))
+def test_advance_matches_a_cycle_by_cycle_counter(case):
+    iterations, body_length, segs = case
+    f = function(iterations, body_length)
+    spec = make_tracker_spec(f)
+    table = live_sets(f.region, f.result_regs)
+    tr = trk.make_trackers({"f": spec})["f"]
+    ref = Reference(iterations, body_length)
+    assert tr.boundary_status() == ref.status == 0
+    for seg in segs:
+        tr = tr.advance(seg)
+        for _ in range(seg):
+            ref.step()
+        assert (tr.count, tr.remaining, tr.boundary_status()) == (
+            ref.count, ref.remaining, ref.status), (segs, seg)
+        if ref.count == 0 and 0 < ref.iteration < iterations:    # an iteration seam
+            assert tr.boundary_status() == body_length
+            rolled, rollback = trk.restore({"f": tr}, {"f": body_length}, {"f": table})
+            assert rollback == {"f": 0}
+            assert rolled == {"f": tr}
+    assert tr.remaining == 0
+    with pytest.raises(trk.TrackerContractError):
+        tr.advance(1)
