@@ -72,9 +72,12 @@ def _parse_outages(text: str) -> Tuple[int, int]:
 def _parse_grid(text: str) -> Tuple[int, int]:
     try:
         w, h = text.lower().split("x", 1)
-        return int(w), int(h)
+        w, h = int(w), int(h)
     except ValueError:
         raise ConfigError(f"bad grid '{text}' (expected WxH)")
+    if w < 1 or h < 1:
+        raise ConfigError(f"bad grid '{text}' (need W and H at least 1)")
+    return w, h
 
 
 def _load_sources(args) -> List[Tuple[str, str]]:
@@ -251,6 +254,8 @@ def cmd_compare(args) -> int:
     lo, hi = _parse_outages(args.outages)
     if args.rounds < 1:
         raise ConfigError(f"bad --rounds {args.rounds} (need at least 1)")
+    if args.jobs < 1:
+        raise ConfigError(f"bad --jobs {args.jobs} (need at least 1)")
     ks = list(range(lo, hi + 1))
     grid = _parse_grid(args.grid)
     for name, source in sources:

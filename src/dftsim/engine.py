@@ -1,20 +1,29 @@
-"""Execution engine: one generated Python function per region.
+"""Execution engine: one generated Python function per distinct region body.
 
 The register file is a plain list of ints indexed by ``reg_index``.
 ``CompiledRegion.run`` steps any span of a region's unrolled iterations in
-one call to a function generated for the region on its first use:
-registers live in locals and are written back once, every op latching in
-a cycle is computed before any of them is written back, and the width
-masks are folded into constants. The function holds the body twice: a
-guarded copy, in which each latch cycle runs only if it falls inside the
-requested cycles, steps the partial iterations at the head and tail of a
-span, and an unguarded copy in a loop steps the whole iterations between
-them. tests/test_kernel.py checks every kind of span against the dict
+one call to a generated function: registers live in locals and are written
+back once, every op latching in a cycle is computed before any of them is
+written back, and the width masks are folded into constants. The function
+holds the body twice: a guarded copy, in which each latch cycle runs only
+if it falls inside the requested cycles, steps the partial iterations at
+the head and tail of a span, and an unguarded copy in a loop steps the
+whole iterations between them.
+
+The generated source numbers a region's registers by local slot, so it
+names no register index: a kernel is generated and compiled once per
+distinct body in a process, and on a region's first run it is bound to
+the region's register indices, which replace placeholder constants in a
+copy of its code object. Regions that repeat a body at other registers,
+such as a chain inside a larger program, share one compiled kernel.
+tests/test_kernel.py checks every kind of span against the dict
 interpreter ``program._interp_region``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import FunctionType
 from typing import Dict, Iterable, List, Mapping
 
 KERNEL_NAME = "python"
@@ -35,7 +44,7 @@ _EXPR = {
 
 
 class CompiledRegion:
-    """One region body, stepped by a function generated on first use."""
+    """One region body, stepped by a kernel bound to it on first use."""
 
     __slots__ = ("body_length", "iterations", "_ops", "_reg_index", "_widths",
                  "_span")
@@ -62,8 +71,13 @@ class CompiledRegion:
         span(regs, c_lo, c_hi)
 
     def _generate(self):
-        """Compile ``span(regs, lo, hi)``.
+        """Return ``span(regs, lo, hi)`` bound to this region's registers.
 
+        Registers are numbered by local slot in order of first use, and the
+        source loads and writes back ``regs['iK']``, where the string ``iK``
+        stands for the register index of slot K. Regions with the same body
+        thus have the same source, compiled once; binding a region puts its
+        indices in place of those constants in a copy of the code object.
         Each cycle's latch group becomes one tuple assignment, so every
         right-hand side reads the pre-edge values. A span that starts
         mid-iteration, or ends within its first iteration, runs the
@@ -71,12 +85,12 @@ class CompiledRegion:
         partial tail runs the guarded copy again over [0, hi % L).
         """
         L = self.body_length
-        idx = self._reg_index
+        slot: Dict[str, int] = {}
         by_end: Dict[int, list] = {}
         for op in self._ops:
             by_end.setdefault(op.end, []).append(op)
         groups = []
-        reads, written = set(), set()
+        written = set()
         for c in range(L):
             group = by_end.get(c)
             if not group:
@@ -84,9 +98,8 @@ class CompiledRegion:
             targets, values = [], []
             for op in group:
                 m = (1 << self._widths.get(op.output, 32)) - 1
-                ins = [idx[r] for r in op.inputs]
-                reads.update(ins)
-                out = idx[op.output]
+                ins = [slot.setdefault(r, len(slot)) for r in op.inputs]
+                out = slot.setdefault(op.output, len(slot))
                 written.add(out)
                 targets.append(f"r{out}")
                 values.append(_EXPR[op.opcode].format(*ins, m=m, k=op.value & _U32 & m))
@@ -95,7 +108,7 @@ class CompiledRegion:
         # A guarded span may skip a register's writer, so every register
         # written back is loaded first.
         lines = ["def span(regs, lo, hi):"]
-        lines += [f"    r{i} = regs[{i}]" for i in sorted(reads | written)]
+        lines += [f"    r{s} = regs['i{s}']" for s in range(len(slot))]
         lines += ["    while True:",
                   f"        if lo or hi < {L}:",
                   f"            e = hi if hi < {L} else {L}"]
@@ -113,10 +126,31 @@ class CompiledRegion:
         lines += [f"        hi %= {L}",
                   "        if not hi:",
                   "            break"]
-        lines += [f"    regs[{i}] = r{i}" for i in sorted(written)]
-        namespace: Dict[str, object] = {}
-        exec("\n".join(lines), namespace)
-        return namespace["span"]
+        lines += [f"    regs['i{s}'] = r{s}" for s in sorted(written)]
+        span, slot_of = _compile("\n".join(lines))
+        index = [self._reg_index[r] for r in slot]
+        code = span.__code__
+        consts = tuple(k if s is None else index[s] for k, s in zip(code.co_consts, slot_of))
+        return FunctionType(code.replace(co_consts=consts), span.__globals__)
+
+
+# A body recurs within a few programs (a chain, then a larger program
+# that holds it), so a small bound keeps every reuse.
+@lru_cache(maxsize=128)
+def _compile(source: str):
+    """Compile a kernel's source once per text.
+
+    Returns its ``span`` function and, for each constant of the function's
+    code, the slot whose placeholder it is, or None; the placeholders are
+    the only string constants. The text holds every mask, constant,
+    opcode, cycle and body length of a kernel, so equal texts are equal
+    kernels.
+    """
+    namespace: Dict[str, object] = {}
+    exec(source, namespace)
+    span = namespace["span"]
+    return span, tuple(int(k[1:]) if isinstance(k, str) else None
+                       for k in span.__code__.co_consts)
 
 
 class CompiledProgram:

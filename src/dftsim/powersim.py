@@ -44,8 +44,10 @@ completion point still fires before they start. The first ``run`` on a
 (``Prepared.first_completion``, the shortest entry function) builds the
 table by stepping the uninterrupted run once; a run that must step from
 cycle 0 anyway does not need it. ``prepare`` does not build it, because
-that would move the first-use compilation of every region kernel into
-set-up, which callers that never run a program would pay too.
+that would move into set-up the first-use binding of every region's
+kernel, generated once per distinct region body in a process and bound to
+the region's register indices, which callers that never run a program
+would pay too.
 
 Policies:
 

@@ -119,9 +119,14 @@ def test_normalized_program_validated_once(command, two_loop_path, tmp_path, mon
      "cannot read program /nonexistent/p.json: No such file or directory"),
     (["simulate", "--preset", "nosuch"], "unknown preset 'nosuch'"),
     (["compare", "--preset", "global", "--rounds", "0"], "bad --rounds 0"),
+    (["compare", "--preset", "global", "--jobs", "0"], "bad --jobs 0 (need at least 1)"),
+    (["compare", "--preset", "global", "--jobs", "-2"], "bad --jobs -2 (need at least 1)"),
     (["analyze", "--preset", "struct", "--preset", "float"],
      "analyze takes exactly one --program or --preset"),
-], ids=("missing-file", "unknown-preset", "zero-rounds", "two-sources"))
+    (["simulate", "--preset", "global", "--grid", "0x5"], "bad grid '0x5'"),
+    (["analyze", "--preset", "global", "--grid=-3x5"], "bad grid '-3x5'"),
+], ids=("missing-file", "unknown-preset", "zero-rounds", "zero-jobs", "negative-jobs",
+        "two-sources", "zero-grid", "negative-grid"))
 def test_bad_arguments_exit_config(argv, message, tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG

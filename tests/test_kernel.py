@@ -1,12 +1,15 @@
 """The generated engine against the dict interpreter.
 
-``CompiledRegion.run`` steps every span through one function generated
-per region: a guarded copy of the body for a partial head or tail and an
-unguarded copy for the whole iterations between them.
-``program._interp_region`` shares no code with it. The cuts below end
-spans mid-iteration, at seams and across several iterations, so every
-path of the generated function runs; after every span the whole register
-file must equal the interpreter's state after the same number of cycles.
+``CompiledRegion.run`` steps every span through one kernel generated per
+distinct region body and bound to the region's register indices: a
+guarded copy of the body for a partial head or tail and an unguarded copy
+for the whole iterations between them. ``program._interp_region`` shares
+no code with it. The cuts below end spans mid-iteration, at seams and
+across several iterations, so every path of the generated function runs;
+after every span the whole register file must equal the interpreter's
+state after the same number of cycles. The golden two-chain program holds
+its second chain at shifted register indices, so that chain's kernels are
+checked bound at a non-zero index offset.
 """
 
 import random
@@ -14,7 +17,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from dftsim import benchgen
+from dftsim import benchgen, engine
 from dftsim.program import (
     STRAIGHT,
     FunctionSchedule,
@@ -25,6 +28,7 @@ from dftsim.program import (
     _widths_map,
     compile_program,
 )
+from test_golden import two_chain_program
 
 
 def op(oid, opcode, inputs, output, start, end, value=0):
@@ -45,7 +49,8 @@ def head(region, cycles):
 
 def check_spans(program, fid, cuts, seed=0):
     """Step region ``fid`` span by span, ending each span at a cut, and
-    compare the register file with the interpreter after every span."""
+    compare the register file with the interpreter after every span.
+    Returns the region's CompiledRegion."""
     widths = _widths_map(program)
     compiled = compile_program(program)
     rng = random.Random(seed)
@@ -72,11 +77,13 @@ def check_spans(program, fid, cuts, seed=0):
             _interp_region(head(region, tail), expected, widths)
         actual = {reg: int(regfile[i]) for reg, i in compiled.reg_index.items()}
         assert actual == expected, (fid, done)
+    return kernel
 
 
 def programs():
     out = [benchgen.preset_program(name) for name in benchgen.PRESETS]
     out += [benchgen.generate(benchgen.random_small_shape(s)) for s in range(12)]
+    out.append(two_chain_program())
     return out
 
 
@@ -158,3 +165,33 @@ def test_sub_wraps_to_declared_width():
     assert int(regfile[idx["d"]]) == 0xE            # (1 - 3) mod 2^4
     assert int(regfile[idx["acc"]]) == 5 * 0xE & 0xFF
     assert int(regfile[idx["n"]]) == 0x678 & 0x1F
+
+
+def test_chain_shares_its_kernels_inside_a_two_chain_program():
+    chain = benchgen.generate(benchgen.random_small_shape(4))
+    pair = two_chain_program()       # chains 3 and 4, chain 4 second
+    shifted = compile_program(pair).reg_index
+    assert all(shifted[reg] > i for reg, i in compile_program(chain).reg_index.items())
+    for f in chain.functions:
+        check_spans(chain, f.id, [1, f.region.body_length + 1])
+        misses = engine._compile.cache_info().misses
+        check_spans(pair, f.id, [1, f.region.body_length + 1])
+        assert engine._compile.cache_info().misses == misses, f.id
+
+
+def test_kernels_differ_in_every_folded_value():
+    base = narrow_region()
+    variants = [
+        base,
+        replace(base, reg_widths={**base.reg_widths, "d": 5}),
+        replace(base, ops=tuple(replace(o, value=7) if o.id == "c" else o
+                                for o in base.ops)),
+        replace(base, ops=tuple(replace(o, opcode="xor") if o.id == "acc" else o
+                                for o in base.ops)),
+        replace(base, body_length=4),
+    ]
+    codes = []
+    for region in variants:
+        kernel = check_spans(one_region_program(region), "f", [2, 7])
+        codes.append(kernel._span.__code__)
+    assert len(set(codes)) == len(variants)
