@@ -7,7 +7,8 @@ cover the paper's compare grid (six presets, three policies, k in
 parallel program in which two trackers run at once, and dense traces (an
 outage every five progress cycles) on small presets, that parallel
 program and a fork/join program, so that outages repeat the same tracker
-statuses and finished functions many times within one run. The
+statuses and finished functions many times within one run; the record
+of every outage of those runs is pinned on its own. The
 ``analyze`` artifacts of every preset are pinned too, under the default
 configuration and under 16 flip-flops per SLICE on a 37-wide grid, whose
 SLICE rows wrap so that address order differs from packing order. So
@@ -31,6 +32,7 @@ KS = (0, 5, 20)
 GRID_DIGEST = "b73009773e311f151e70a637d8c7d98d20fa5a8bc415c9eda7050013ac75128f"
 SWEEP_DIGEST = "34cdc539736718320d42620f20ca93a9800808a6cf0765095a857c047e9b5e3c"
 DENSE_DIGEST = "c562c321e7ef3a991844d420e51451906802c74965c070cdfd7fbd597f24bfa4"
+OUTAGE_RECORDS_DIGEST = "3d328321e853947760d716fa0f82e5d0f43cdf90b025790d7d5f68ada1a71d33"
 DENSE_PRESETS = ("float", "global", "struct")
 ANALYZE_ARTIFACTS = ("cu_table.bin", "placement.txt", "resources.json",
                      "livesets.json", "trackers.json", "normalized.json")
@@ -104,12 +106,12 @@ def sweep_rows():
     return rows
 
 
-def dense_rows():
+def dense_reports():
+    """(program name, k, report) of each dense run."""
     programs = [(name, transform.normalize(benchgen.preset_program(name)))
                 for name in DENSE_PRESETS]
     programs += [("two-chain", transform.normalize(two_chain_program())),
                  ("fork-join", fork_join_program())]
-    rows = []
     for name, program in programs:
         prep = powersim.prepare(program)
         k = prep.total_cycles // 5
@@ -120,8 +122,12 @@ def dense_rows():
                                   prepared=prep)
             assert report.consistent, (name, pol)
             assert len(report.outages) == k, (name, pol)
-            rows.append([name] + report_row(report, k))
-    return rows
+            yield name, k, report
+
+
+@pytest.fixture(scope="module")
+def dense():
+    return list(dense_reports())
 
 
 def test_paper_grid_golden():
@@ -132,8 +138,17 @@ def test_two_chain_sweep_golden():
     assert digest(sweep_rows()) == SWEEP_DIGEST
 
 
-def test_dense_outage_golden():
-    assert digest(dense_rows()) == DENSE_DIGEST
+def test_dense_outage_golden(dense):
+    assert digest([name] + report_row(report, k) for name, k, report in dense) \
+        == DENSE_DIGEST
+
+
+def test_dense_outage_records_golden(dense):
+    # the FFs and SLICEs stored at each outage, which the report only sums
+    assert digest([name, report.policy, o.point, o.rollback, o.ff_stored,
+                   o.slices_stored]
+                  for name, _, report in dense for o in report.outages) \
+        == OUTAGE_RECORDS_DIGEST
 
 
 @pytest.mark.parametrize("ffs_per_slice,grid", sorted(ANALYZE_DIGESTS))
