@@ -19,7 +19,12 @@ stepping them one after another gives the same registers as stepping
 them cycle by cycle together. An outage touches only the running
 trackers: idle and finished ones emit status 0 and roll back by 0, so
 boundary statuses, ``tracker.snapshot`` and ``tracker.restore`` see the
-running ones alone.
+running ones alone. Each policy computes at an outage only what it reads:
+``dft`` computes the boundary statuses, emits them through
+``tracker.snapshot`` for its store set and hands them to
+``tracker.restore``; ``fullchip`` stores the whole grid, so it computes
+the boundary statuses for ``tracker.restore`` alone; ``cp`` resets the
+running trackers and computes neither.
 
 After the last outage nothing is traced any more, so a run finishes
 without the scheduler: in topological order, one engine call steps each
@@ -119,9 +124,20 @@ class ConsistencyError(ProgramError):
 
 @dataclass(frozen=True)
 class PowerTrace:
-    points: Tuple[int, ...]    # strictly increasing, < total_cycles
+    points: Tuple[int, ...]    # strictly increasing, in [0, total_cycles)
     seed: int
     total_cycles: int
+
+    def __post_init__(self):
+        last = -1
+        for i, point in enumerate(self.points):
+            if not 0 <= point < self.total_cycles:
+                raise ValueError(f"outage point {point} (index {i}) is outside "
+                                 f"[0, {self.total_cycles})")
+            if point <= last:
+                raise ValueError(f"outage point {point} (index {i}) does not "
+                                 f"follow {last}: points must strictly increase")
+            last = point
 
 
 @dataclass(frozen=True)
@@ -188,6 +204,7 @@ class RunState:
 
 
 _POSITION = attrgetter("position")
+_REMAINING = attrgetter("remaining")
 
 
 @dataclass
@@ -300,7 +317,12 @@ def run(program: ScheduledProgram, policy: Policy, trace: PowerTrace, *,
 
     It starts from the last state of the uninterrupted run at or before
     the first outage point (the last one when there is no outage).
+    Raises ValueError when ``trace`` is for another number of progress
+    cycles than the program's.
     """
+    if trace.total_cycles != prepared.total_cycles:
+        raise ValueError(f"trace is for {trace.total_cycles} progress cycles, "
+                         f"the program has {prepared.total_cycles}")
     first = trace.points[0] if trace.points else prepared.total_cycles
     if first < prepared.first_completion:
         return _execute(prepared, policy, trace, prepared.start)
@@ -343,6 +365,7 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     ``states``, steps from event to event to the end and appends the
     state after each completion to it."""
     cfg = prep.config
+    name = policy.name
     reload = prep.reload
     preds = prep.preds
     after = prep.after
@@ -356,6 +379,7 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     ff_stores = 0
     slice_events = 0
     store_cost = 0
+    rollbacks: List[int] = []
     outages: List[OutageRecord] = []
     grid_slices = cfg.grid[0] * cfg.grid[1]
     # dft: (FFs stored, SLICEs stored, lost register indices) per outage
@@ -367,7 +391,9 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     # at the completion point to be handled first. The longest path of
     # work still to do starts at a running function or at a candidate.
     candidates: Sequence[str] = state.candidates
-    done: List[str] = list(state.done)
+    # finished functions in completion order, a tuple so that the dft
+    # store key holds it as it is
+    done: Tuple[str, ...] = state.done
 
     end = prep.total_cycles
     # step from event to event up to each outage point; the run that
@@ -384,49 +410,33 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
             if not running:
                 raise ProgramError("simulation stalled: unstartable functions remain")
 
-            seg = min(point - position, min(tr.remaining for tr in running.values()))
+            # a segment ends at the outage point or at the first completion
+            least = min(map(_REMAINING, running.values()))
+            seg = point - position
+            if seg > least:
+                seg = least
             for fid, tr in running.items():
                 kernels[fid].run(regs, tr.count, tr.count + seg)
                 running[fid] = tr.advance(seg)
             position += seg
             wall += seg
-            finished = [fid for fid, tr in running.items() if not tr.remaining]
-            if finished:
+            if seg == least:
+                finished = [fid for fid, tr in running.items() if not tr.remaining]
                 for fid in finished:
                     trackers[fid] = running.pop(fid)
-                done += finished
+                done += tuple(finished)
                 candidates = tuple(dict.fromkeys(
                     s for fid in finished for s in prep.succs[fid]))
                 if states is not None:
                     states.append(RunState(
                         position=position, regs=tuple(regs),
                         trackers={**trackers, **running}, running=tuple(running),
-                        done=tuple(done), candidates=candidates))
+                        done=done, candidates=candidates))
         if point == end:
             break
 
-        boundary = {fid: tr.boundary_status() for fid, tr in running.items()}
-        emitted = trk.snapshot(running, boundary)
-        ff_here = 0
-        slices_here = 0
-        if policy.name == DFT:
-            key = (tuple(emitted.items()), tuple(done))
-            hit = dft_stores.get(key)
-            if hit is None:
-                hit = dft_stores[key] = store_set(prep, emitted, done)
-            ff_here, slices_here, lost = hit
-            store_cost += slices_here
-            for i in lost:
-                regs[i] = reload[i]
-            running, rolled = trk.restore(running, boundary, prep.live_tables)
-            rollback = max(rolled.values(), default=0)
-        elif policy.name == FULLCHIP:
-            ff_here = grid_slices * cfg.ffs_per_slice
-            slices_here = grid_slices
-            store_cost += grid_slices
-            running, rolled = trk.restore(running, boundary, prep.live_tables)
-            rollback = max(rolled.values(), default=0)
-        else:  # cp: discard in-flight states, resume at last boundary
+        if name == CP:  # discard in-flight states, resume at last boundary
+            ff_here = slices_here = 0
             rollback = max((tr.spec.max_cycles - tr.remaining
                             for tr in running.values()), default=0)
             running = {fid: prep.start.trackers[fid] for fid in running}
@@ -435,13 +445,38 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
                 for i in prep.written[fid]:
                     if i not in survivors:
                         regs[i] = reload[i]
+        else:
+            boundary = {fid: tr.boundary_status() for fid, tr in running.items()}
+            if name == DFT:
+                emitted = trk.snapshot(running, boundary)
+                key = (tuple(emitted.items()), done)
+                hit = dft_stores.get(key)
+                if hit is None:
+                    hit = dft_stores[key] = store_set(prep, emitted, done)
+                ff_here, slices_here, lost = hit
+                for i in lost:
+                    regs[i] = reload[i]
+            else:  # fullchip
+                ff_here = grid_slices * cfg.ffs_per_slice
+                slices_here = grid_slices
+            store_cost += slices_here
+            running, rolled = trk.restore(running, boundary, prep.live_tables)
+            rollback = max(rolled.values(), default=0)
         ff_stores += ff_here
         slice_events += slices_here
+        rollbacks.append(rollback)
         outages.append(OutageRecord(point=point, rollback=rollback,
                                     ff_stored=ff_here, slices_stored=slices_here))
-        position = end - max(
-            [tr.remaining + after[fid] for fid, tr in running.items()]
-            + [trackers[fid].remaining + after[fid] for fid in candidates])
+        longest = 0     # the longest path of work still to do
+        for fid, tr in running.items():
+            path = tr.remaining + after[fid]
+            if path > longest:
+                longest = path
+        for fid in candidates:
+            path = trackers[fid].remaining + after[fid]
+            if path > longest:
+                longest = path
+        position = end - longest
 
     # the rest of the run, after the last outage: running functions never
     # depend on each other, and the order is topological
@@ -452,16 +487,15 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
             kernels[fid].run(regs, tr.count, tr.count + tr.remaining)
     wall += end - position
 
-    if policy.name == CP:
+    if name == CP:
         # every function completes once per run, and its checkpoint fires
         # then, power or not
         ff_stores = prep.result_ffs
         store_cost = sum(map(len, prep.results.values()))
     return SimulationReport(
-        policy=policy.name, trace=trace,
-        total_rollback=sum(o.rollback for o in outages),
-        per_outage_rollback=tuple(o.rollback for o in outages),
-        ff_stores=ff_stores, bram_count=prep.brams[policy.name],
+        policy=name, trace=trace,
+        total_rollback=sum(rollbacks), per_outage_rollback=tuple(rollbacks),
+        ff_stores=ff_stores, bram_count=prep.brams[name],
         slice_store_events=slice_events, store_cost_cycles=store_cost,
         wall_progress_cycles=wall,
         final_state={reg: regs[i] for reg, i in prep.final_regs},

@@ -8,6 +8,9 @@ import pytest
 from dftsim import benchgen, powersim, transform
 from dftsim.control_unit import ControlUnitError, ControlUnitTable, lookup, serialize_table
 from dftsim.liveness import TRACKED
+from oracle import reference_store_set
+from test_golden import two_chain_program
+from test_powersim import fork_join_program
 
 GRID_W = 400
 
@@ -56,38 +59,6 @@ def test_lookup_stores_the_tracker_region_and_nonzero_rows():
         lookup(table, {"f": 2})
 
 
-def slice_indices(mask):
-    return {i for i in range(mask.bit_length()) if mask >> i & 1}
-
-
-def reference_store_set(prep, fid, status, done):
-    """(FFs stored, SLICEs stored, lost register indices) of one tracker's
-    status, from the live sets and the placement alone: the live set at
-    the status's resume point (every register of a store-all function),
-    the result registers of the finished functions, and the tracker
-    region."""
-    placement = prep.placement
-    regs = set()
-    if status:
-        if prep.specs[fid].mode == TRACKED:
-            table = prep.live_tables[fid]
-            regs |= table.live[table.resume[status - 1]]
-        else:
-            region = prep.program.function(fid).region
-            regs |= set(region.written_regs()) | set(region.live_in)
-    for f in done:
-        regs |= prep.program.function(f).result_regs
-    stored = set()
-    for mask in placement.trackers.values():
-        stored |= slice_indices(mask)
-    for reg in regs:
-        stored |= slice_indices(placement.regs[reg])
-    index = prep.compiled.reg_index
-    lost = tuple(index[reg] for reg, mask in placement.regs.items()
-                 if not slice_indices(mask) <= stored)
-    return sum(placement.slice_ffs[i] for i in stored), len(stored), lost
-
-
 @pytest.mark.parametrize("name", ("float", "global", "struct"))
 def test_store_set_masks_match_the_lookup(name):
     # every status of every function, alone, with no function finished
@@ -98,8 +69,9 @@ def test_store_set_masks_match_the_lookup(name):
         spec = prep.specs[fid]
         for status in range(spec.body_length + 1 if spec.mode == TRACKED else 2):
             for done in ((), others):
-                assert powersim.store_set(prep, {fid: status}, done) == \
-                    reference_store_set(prep, fid, status, done), (fid, status, done)
+                statuses = {fid: status}
+                assert powersim.store_set(prep, statuses, done) == \
+                    reference_store_set(prep, statuses, done), (fid, status, done)
 
 
 @pytest.mark.parametrize("status", (-1, "past"))
@@ -110,3 +82,29 @@ def test_store_set_rejects_a_corrupt_status(status):
         status = prep.table.status_rows[fid] + 1
     with pytest.raises(ControlUnitError, match=f"corrupt status {status} for {fid}"):
         powersim.store_set(prep, {fid: status}, ())
+
+
+@pytest.mark.parametrize("name", ("fork-join", "two-chain"))
+def test_dft_store_sets_with_two_running_trackers(name, monkeypatch):
+    # every store set of a single-outage dft sweep, against the reference,
+    # where two trackers run at once and both emit a status
+    prep = powersim.prepare(fork_join_program() if name == "fork-join"
+                            else transform.normalize(two_chain_program()))
+    store_set = powersim.store_set
+    seen = []
+
+    def checking(prepared, statuses, done):
+        got = store_set(prepared, statuses, done)
+        assert got == reference_store_set(prepared, statuses, done), (statuses, done)
+        seen.append(dict(statuses))
+        return got
+
+    monkeypatch.setattr(powersim, "store_set", checking)
+    for point in range(prep.total_cycles):
+        trace = powersim.PowerTrace(points=(point,), seed=0,
+                                    total_cycles=prep.total_cycles)
+        report = powersim.run(prep.program, powersim.Policy(powersim.DFT), trace,
+                              prepared=prep)
+        assert report.consistent, point
+    assert len(seen) == prep.total_cycles
+    assert any(len(s) == 2 and all(s.values()) for s in seen)

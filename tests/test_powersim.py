@@ -1,6 +1,7 @@
 """Intermittent runs: fork/join crash consistency, the event-driven
 scheduler, and consistency-failure reports."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -222,6 +223,66 @@ def test_corrupt_status_raises_on_a_repeated_key(fork_join, monkeypatch):
     with pytest.raises(ControlUnitError, match="corrupt status 5 for A"):
         powersim.run(fork_join.program, POLICIES[0], trace, prepared=fork_join)
     assert len(seen) == 5
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+def test_outages_compute_only_what_the_policy_reads(fork_join, policy, monkeypatch):
+    # only dft reads emitted statuses, and only dft and fullchip hand
+    # boundary statuses to the roll-back; cp reads neither
+    calls = {"snapshot": 0, "boundary_status": 0}
+    snapshot = trk.snapshot
+    boundary_status = trk.TrackerState.boundary_status
+
+    def counting_snapshot(trackers, boundary):
+        calls["snapshot"] += 1
+        return snapshot(trackers, boundary)
+
+    def counting_status(tracker):
+        calls["boundary_status"] += 1
+        return boundary_status(tracker)
+
+    monkeypatch.setattr(trk, "snapshot", counting_snapshot)
+    monkeypatch.setattr(trk.TrackerState, "boundary_status", counting_status)
+    trace = powersim.PowerTrace(points=(2, 6, 9, 12, 17, 20, 25, 30), seed=0,
+                                total_cycles=fork_join.total_cycles)
+    report = powersim.run(fork_join.program, policy, trace, prepared=fork_join)
+    assert report.consistent
+    assert len(report.outages) == len(trace.points)
+    assert calls["snapshot"] == (len(trace.points) if policy.name == powersim.DFT else 0)
+    if policy.name == powersim.CP:
+        assert calls["boundary_status"] == 0
+    else:
+        assert calls["boundary_status"] >= len(trace.points)
+
+
+@pytest.mark.parametrize("points,message", [
+    ((5, 3), "outage point 3 (index 1) does not follow 5"),
+    ((3, 3), "outage point 3 (index 1) does not follow 3"),
+    ((2, 9, 9, 4), "outage point 9 (index 2) does not follow 9"),
+    ((34,), "outage point 34 (index 0) is outside [0, 34)"),
+    ((38,), "outage point 38 (index 0) is outside [0, 34)"),
+    ((-1,), "outage point -1 (index 0) is outside [0, 34)"),
+    ((0, 33, 34), "outage point 34 (index 2) is outside [0, 34)"),
+])
+def test_malformed_trace_names_its_first_bad_point(points, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        powersim.PowerTrace(points=points, seed=0, total_cycles=34)
+
+
+def test_trace_for_another_program_is_rejected():
+    prep = powersim.prepare(transform.normalize(benchgen.preset_program("global")))
+    assert prep.total_cycles == 34
+    for total in (33, 35):
+        trace = powersim.PowerTrace(points=(3,), seed=0, total_cycles=total)
+        with pytest.raises(ValueError, match=f"trace is for {total} progress "
+                                             "cycles, the program has 34"):
+            powersim.run(prep.program, POLICIES[0], trace, prepared=prep)
+    # the edges of the range are valid points
+    trace = powersim.PowerTrace(points=(0, 33), seed=0, total_cycles=34)
+    for policy in POLICIES:
+        report = powersim.run(prep.program, policy, trace, prepared=prep)
+        assert [o.point for o in report.outages] == [0, 33]
+        assert report.consistent
 
 
 def test_prepare_reports_every_violation():

@@ -117,25 +117,39 @@ def test_multi_outage_traces_match_a_run_from_zero(preps, name, policy, data):
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
 def test_outage_at_a_completion_fires_before_the_successors_start(
         name, policy, monkeypatch):
+    # The running set at the outage, where each policy reads it: ``dft``
+    # and ``fullchip`` hand it to ``tracker.restore``, and ``cp`` reads the
+    # start tracker of each running function from ``prep.start``.
     prep = prepared(name)
     zero = from_zero(prep)
     powersim.run(prep.program, policy, powersim.gen_trace(prep.total_cycles, 0, 0),
                  prepared=prep)
-    snapshot = trk.snapshot
-    seen = []
+    restore = trk.restore
+    restored = []
+    reads = set()
 
-    def recording(trackers, boundary):
-        seen.append(set(trackers))
-        return snapshot(trackers, boundary)
+    def recording(trackers, statuses, live_tables):
+        restored.append(set(trackers))
+        return restore(trackers, statuses, live_tables)
 
-    monkeypatch.setattr(trk, "snapshot", recording)
+    class Reads(dict):
+        def __getitem__(self, fid):
+            reads.add(fid)
+            return super().__getitem__(fid)
+
+    monkeypatch.setattr(trk, "restore", recording)
+    recorded = replace(prep, start=replace(prep.start,
+                                           trackers=Reads(prep.start.trackers)))
     for before, state in zip(prep.states, prep.states[1:-1]):
         finished = set(state.done) - set(before.done)
         successors = {s for fid in finished for s in prep.succs[fid]}
-        seen.clear()
-        check(prep, zero, policy, [state.position])
-        assert seen[0] == set(state.running), state.position
-        assert not seen[0] & successors, state.position
+        restored.clear()
+        reads.clear()
+        # the recorded run comes first, and it starts from ``state``
+        check(recorded, zero, policy, [state.position])
+        seen = reads if policy.name == powersim.CP else restored[0]
+        assert seen == set(state.running), state.position
+        assert not seen & successors, state.position
     if name == "fork-join":
         # A completes at 8, C at 17, B at 23 and D at 31
         assert [s.position for s in prep.states] == [0, 8, 17, 23, 31]
