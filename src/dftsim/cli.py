@@ -9,9 +9,10 @@ Exit codes: 0 success, 2 validation error, 3 crash-consistency violation,
 4 configuration error. Output directory defaults to $DFTSIM_OUT or cwd.
 
 ``compare`` writes three CSV files. In ``rollback.csv`` and
-``ffstores.csv`` each row is one (benchmark, policy, k) cell, and
-``mean``/``stddev`` are the mean and population standard deviation over
-its ``rounds`` runs:
+``ffstores.csv`` each row is one (benchmark, policy, k) cell, in the
+order of the sources, then the policies, then k, and ``mean``/``stddev``
+are the mean and population standard deviation over the cell's reports,
+the ``rounds`` runs that ``powersim.run_monte_carlo`` returns for it:
 
 * ``rollback.csv``: total roll-back cycles of one run, summed over its
   k outages;
@@ -35,8 +36,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
+from statistics import fmean, pstdev
 from typing import List, Optional, Sequence, Tuple
 
 from . import benchgen, placement, powersim, transform
@@ -231,20 +233,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if report.consistent else EXIT_CONSISTENCY
 
 
-@lru_cache(maxsize=8)
+@cache
 def _worker_prep(source: str, grid: Tuple[int, int], ffs_per_slice: int):
     return _prepare_source(source, grid, ffs_per_slice)
 
 
-def _run_cell(job) -> Tuple:
+def _run_cell(job) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """(mean, stddev) of the roll-back and of the FFs stored over the
+    cell's reports."""
     (name, source, policy, k, rounds, base_seed, grid, ffs_per_slice) = job
     program, prep = _worker_prep(source, grid, ffs_per_slice)
-    cells = powersim.run_monte_carlo(
+    reports = powersim.run_monte_carlo(
         program, [powersim.Policy(policy)], [k], rounds, base_seed,
-        benchmark=name, prepared=prep)
-    cell = cells[(policy, k)]
-    return (name, policy, k, cell.mean_rollback, cell.std_rollback,
-            cell.mean_ff, cell.std_ff)
+        benchmark=name, prepared=prep)[(policy, k)]
+    rollback = [r.total_rollback for r in reports]
+    ffs = [r.ff_stores for r in reports]
+    return (fmean(rollback), pstdev(rollback)), (fmean(ffs), pstdev(ffs))
 
 
 def cmd_compare(args) -> int:
@@ -258,6 +262,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"bad --jobs {args.jobs} (need at least 1)")
     ks = list(range(lo, hi + 1))
     grid = _parse_grid(args.grid)
+    _worker_prep.cache_clear()    # read each program file again
     for name, source in sources:
         _check_outages(name, hi, _worker_prep(source, grid, args.ffs_per_slice)[1])
 
@@ -269,17 +274,16 @@ def cmd_compare(args) -> int:
     else:
         results = [_run_cell(j) for j in jobs]
 
-    by_key = {(r[0], r[1], r[2]): r for r in results}
-    for filename, mean, std in (("rollback.csv", 3, 4), ("ffstores.csv", 5, 6)):
-        with open(out / filename, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
+    with open(out / "rollback.csv", "w", newline="\n") as rollback, \
+            open(out / "ffstores.csv", "w", newline="\n") as ffstores:
+        writers = [csv.writer(fh, lineterminator="\n") for fh in (rollback, ffstores)]
+        for w in writers:
             w.writerow(["benchmark", "policy", "k", "mean", "stddev", "rounds", "seed"])
-            for name, _ in sources:
-                for pol in policies:
-                    for k in ks:
-                        r = by_key[(name, pol, k)]
-                        w.writerow([name, pol, k, f"{r[mean]:.6f}", f"{r[std]:.6f}",
-                                    args.rounds, args.seed])
+        # results come in job order, which is the rows' order
+        for (name, _, pol, k, *_), stats in zip(jobs, results):
+            for w, (mean, std) in zip(writers, stats):
+                w.writerow([name, pol, k, f"{mean:.6f}", f"{std:.6f}",
+                            args.rounds, args.seed])
     with open(out / "bram.csv", "w", newline="\n") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["benchmark", "states", "bram_dft", "bram_cp"])

@@ -46,13 +46,11 @@ _EXPR = {
 class CompiledRegion:
     """One region body, stepped by a kernel bound to it on first use."""
 
-    __slots__ = ("body_length", "iterations", "_ops", "_reg_index", "_widths",
-                 "_span")
+    __slots__ = ("body_length", "_ops", "_reg_index", "_widths", "_span")
 
-    def __init__(self, ops, body_length: int, iterations: int,
-                 reg_index: Mapping[str, int], widths: Mapping[str, int]):
+    def __init__(self, ops, body_length: int, reg_index: Mapping[str, int],
+                 widths: Mapping[str, int]):
         self.body_length = body_length
-        self.iterations = iterations
         self._ops = ops
         self._reg_index = reg_index
         self._widths = widths
@@ -165,9 +163,9 @@ class CompiledProgram:
         self.regions: Dict[str, CompiledRegion] = {}
 
     def add_region(self, function_id: str, ops, body_length: int,
-                   iterations: int, widths: Mapping[str, int]) -> None:
+                   widths: Mapping[str, int]) -> None:
         self.regions[function_id] = CompiledRegion(
-            ops, body_length, iterations, self.reg_index, widths)
+            ops, body_length, self.reg_index, widths)
 
     def new_regfile(self, inputs: Mapping[str, int]) -> List[int]:
         regs = [0] * len(self.widths)

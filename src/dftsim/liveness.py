@@ -14,10 +14,10 @@ that exhaustively with a brute-force restore-replay oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .placement import tracker_resources
-from .program import FunctionSchedule, ProgramError, Region
+from .program import FunctionSchedule, ProgramError, Region, _widths_map
 
 TRACKED = "tracked"
 STORE_ALL = "store_all"
@@ -127,14 +127,15 @@ def make_tracker_spec(function: FunctionSchedule, mode: str = TRACKED) -> Tracke
                        body_length=region.body_length, width=width, mode=mode)
 
 
-def function_register_ffs(function: FunctionSchedule) -> int:
-    """Flip-flops held by the function's own (written) registers."""
-    region = function.region
-    return sum(region.reg_widths.get(op.output, 32) for op in region.ops)
+def function_register_ffs(function: FunctionSchedule, widths: Mapping[str, int]) -> int:
+    """Flip-flops held by the function's own (written) registers, at their
+    program-wide ``widths``."""
+    return sum(widths.get(op.output, 32) for op in function.region.ops)
 
 
-def tracking_policy(function: FunctionSchedule) -> str:
-    """Decide whether a function earns a tracker.
+def tracking_policy(function: FunctionSchedule, widths: Mapping[str, int]) -> str:
+    """Decide whether a function earns a tracker; ``widths`` are the
+    program's register widths.
 
     When the tracker itself would cost at least as many flip-flops as the
     registers it guards, storing every register on an outage is cheaper
@@ -143,14 +144,15 @@ def tracking_policy(function: FunctionSchedule) -> str:
     region = function.region
     width = counter_width(region.iterations, region.body_length)
     tracker_ffs, _ = tracker_resources(width)
-    if tracker_ffs >= function_register_ffs(function):
+    if tracker_ffs >= function_register_ffs(function, widths):
         return STORE_ALL
     return TRACKED
 
 
 def plan_trackers(program) -> Dict[str, TrackerSpec]:
     """Tracker spec per function, mode chosen by the tracking policy."""
+    widths = _widths_map(program)
     specs: Dict[str, TrackerSpec] = {}
     for f in program.functions:
-        specs[f.id] = make_tracker_spec(f, tracking_policy(f))
+        specs[f.id] = make_tracker_spec(f, tracking_policy(f, widths))
     return specs

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Mapping, Tuple
 
-from .program import ProgramError, ScheduledProgram
+from .program import ProgramError, ScheduledProgram, _widths_map
 
 # Measured tracker cost per counter width (flip-flops, LUTs). Widths past
 # the measured range extrapolate the FF column's +3/bit slope; LUT usage
@@ -154,12 +154,14 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int,
     come from the resource table (store-all functions keep only their
     control/lock state). External live-ins bound at run time are placed
     with the first function declaring them, so every register that can
-    appear in a checkpoint set has an address.
+    appear in a checkpoint set has an address. A register's width is the
+    one the program declares for it in any region.
     """
     if ffs_per_slice not in (8, 16):
         raise ValueError("ffs_per_slice must be 8 or 16")
     packer = _Packer(ffs_per_slice, grid[0], grid[1])
 
+    widths = _widths_map(program)
     placed: Dict[str, int] = {}
     writer_fn = {}
     for f in program.functions:
@@ -173,7 +175,7 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int,
                           if reg not in writer_fn and reg not in placed)
         for reg in own + external:
             if reg not in placed:
-                placed[reg] = packer.place(region.reg_widths.get(reg, 32))
+                placed[reg] = packer.place(widths.get(reg, 32))
 
     packer.fresh_slice()  # trackers never share SLICEs with registers
     trackers: Dict[str, int] = {}

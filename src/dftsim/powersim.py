@@ -90,7 +90,6 @@ value a loss leaves behind under either rule.
 from __future__ import annotations
 
 import hashlib
-import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -510,38 +509,15 @@ def derive_seed(base_seed: int, benchmark: str, policy: str, outages: int,
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
 
 
-@dataclass
-class Cell:
-    policy: str
-    outages: int
-    rounds: int
-    rollback_samples: Tuple[int, ...]
-    ff_samples: Tuple[int, ...]
-
-    @property
-    def mean_rollback(self) -> float:
-        return statistics.fmean(self.rollback_samples)
-
-    @property
-    def std_rollback(self) -> float:
-        return statistics.pstdev(self.rollback_samples)
-
-    @property
-    def mean_ff(self) -> float:
-        return statistics.fmean(self.ff_samples)
-
-    @property
-    def std_ff(self) -> float:
-        return statistics.pstdev(self.ff_samples)
-
-
 def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
                     k_values: Sequence[int], rounds: int, base_seed: int, *,
                     benchmark: str = "program",
-                    prepared: Prepared) -> Dict[Tuple[str, int], Cell]:
-    """Mean rollback and store counts over seeded independent traces of
-    ``prepared.program`` (which ``program`` must be).
+                    prepared: Prepared
+                    ) -> Dict[Tuple[str, int], Tuple[SimulationReport, ...]]:
+    """Run ``rounds`` seeded independent traces of ``prepared.program``
+    (which ``program`` must be) per (policy, k) cell.
 
+    Returns each cell's reports in round order, keyed by (policy name, k).
     Every cell is reproducible standalone: its trace seed comes from
     ``derive_seed`` and nothing else. Raises ConsistencyError if any run
     diverges from the reference execution, naming the first diverging
@@ -549,11 +525,10 @@ def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    cells: Dict[Tuple[str, int], Cell] = {}
+    cells: Dict[Tuple[str, int], Tuple[SimulationReport, ...]] = {}
     for pol in policies:
         for k in k_values:
-            rollbacks = []
-            ffs = []
+            reports = []
             for r in range(rounds):
                 seed = derive_seed(base_seed, benchmark, pol.name, k, r)
                 trace = gen_trace(prepared.total_cycles, k, seed)
@@ -568,9 +543,6 @@ def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
                         f"{want.get(reg)}, got {got.get(reg)} (trace seed {seed}; "
                         f"reproduce with simulate --policy {pol.name} "
                         f"--outages {k} --seed {seed})")
-                rollbacks.append(report.total_rollback)
-                ffs.append(report.ff_stores)
-            cells[(pol.name, k)] = Cell(
-                policy=pol.name, outages=k, rounds=rounds,
-                rollback_samples=tuple(rollbacks), ff_samples=tuple(ffs))
+                reports.append(report)
+            cells[(pol.name, k)] = tuple(reports)
     return cells

@@ -62,10 +62,6 @@ class Operation:
     end: int
     value: int = 0  # immediate, used by const
 
-    @property
-    def span(self) -> int:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class Region:
@@ -566,7 +562,7 @@ def compile_program(program: ScheduledProgram) -> engine.CompiledProgram:
     cp = engine.CompiledProgram(all_registers(program), widths)
     for f in program.functions:
         r = f.region
-        cp.add_region(f.id, r.ops, r.body_length, r.iterations, widths)
+        cp.add_region(f.id, r.ops, r.body_length, widths)
     return cp
 
 

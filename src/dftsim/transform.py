@@ -104,13 +104,13 @@ def merge(program: ScheduledProgram) -> ScheduledProgram:
     Each contiguous run of ops between calls becomes a new function placed
     at its position in the main chain; the main sequence itself induces
     sequential dependencies between consecutive items. Data edges from
-    earlier producers to a wrapped run are added explicitly, exporting the
-    producer's register as a result where needed.
+    earlier producers are added explicitly, and every register that a chain
+    item reads from another chain item's writer becomes a result of that
+    writer.
     """
     if not program.main_sequence:
         return program
 
-    functions = {f.id: f for f in program.functions}
     chain: List[str] = []          # item ids in main order
     new_functions: List[FunctionSchedule] = []
     run: List[Operation] = []
@@ -140,23 +140,8 @@ def merge(program: ScheduledProgram) -> ScheduledProgram:
             chain.append(item)
     flush_run()
 
-    # export each wrapped output consumed by a later item as a result
-    all_functions: Dict[str, FunctionSchedule] = dict(functions)
-    for f in new_functions:
-        all_functions[f.id] = f
-    consumers_after: Dict[str, Set[str]] = {}
-    for pos, fid in enumerate(chain):
-        needs: Set[str] = set()
-        for later in chain[pos + 1:]:
-            for region in all_functions[later].regions:
-                needs |= set(region.live_in)
-        consumers_after[fid] = needs
-
-    for i, f in enumerate(new_functions):
-        produced = {op.output for op in f.regions[0].ops}
-        exported = produced & consumers_after[f.id]
-        new_functions[i] = replace(f, result_regs=frozenset(exported))
-        all_functions[f.id] = new_functions[i]
+    all_functions: Dict[str, FunctionSchedule] = {
+        f.id: f for f in (*program.functions, *new_functions)}
 
     deps: Set[Tuple[str, str]] = set(program.dependencies)
     for a, b in zip(chain, chain[1:]):
@@ -176,7 +161,7 @@ def merge(program: ScheduledProgram) -> ScheduledProgram:
                 src = writer_fn.get(reg)
                 if src is None or src == fid:
                     continue
-                if order.get(src, -1) < order.get(fid, -1) and (src, fid) not in deps:
+                if order[src] < order[fid]:
                     deps.add((src, fid))
                 if reg not in all_functions[src].result_regs:
                     src_f = all_functions[src]

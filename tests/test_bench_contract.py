@@ -3,9 +3,13 @@
 ``perfbench/rep.py`` is the process the benchmark starts for each
 repetition. Run traced on each workload, it must exit 0, report no failed
 run or check, and report every span that ``perfbench/spans.py`` defines.
+Run again untraced under another string-hash seed, it must report the same
+digest and simulated results, which ``perfbench/run.py`` requires of every
+repetition: they may not depend on the process.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,16 +29,20 @@ OUTAGE_PATH = ("tracker.can_start", "tracker.snapshot", "tracker.restore",
                "placement.occupied_ffs")
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_tiny_traced_repetition(workload):
+def tiny_repetition(workload, trace, env=None):
     proc = subprocess.run(
         [sys.executable, "perfbench/rep.py", "--workload", workload, "--seed", "1",
-         "--size", "tiny", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120)
+         "--size", "tiny", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_tiny_traced_repetition(workload):
+    doc, stderr = tiny_repetition(workload, "1")
     assert doc["attempted"] > 0
-    assert doc["failed"] == 0, proc.stderr
+    assert doc["failed"] == 0, stderr
     assert doc["interpreter_mismatches"] == []
     spans = doc["spans"]
     for name in load_spans().SPAN_NAMES:
@@ -43,3 +51,10 @@ def test_tiny_traced_repetition(workload):
     if workload in ("outage-dense", "crash-sweep"):
         for name in OUTAGE_PATH:
             assert spans[f"{name}.calls"] > 0, name
+    # another hash seed than the traced run's, when that one is fixed
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    untraced, stderr = tiny_repetition(
+        workload, "0", env={**os.environ, "PYTHONHASHSEED": hash_seed})
+    assert untraced["failed"] == 0, stderr
+    assert untraced["digest"] == doc["digest"]
+    assert untraced["simulated"] == doc["simulated"]

@@ -204,3 +204,53 @@ def test_malformed_program_exits_validation(path, value, located, tmp_path, caps
     code = cli.main(["analyze", "--program", str(prog_path), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == located + "\n"
+
+
+def test_compare_prepares_each_source_once(tmp_path, monkeypatch):
+    # the check pass, the cells and bram.csv all read the same prepared
+    # program, however many sources there are
+    calls = []
+    prepare_source = cli._prepare_source
+
+    def counting(source, grid, ffs_per_slice):
+        calls.append(source)
+        return prepare_source(source, grid, ffs_per_slice)
+
+    monkeypatch.setattr(cli, "_prepare_source", counting)
+    argv = ["compare", "--policy", "dft", "--rounds", "1", "--out", str(tmp_path / "out")]
+    for name in ("p1", "p2", "p3"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_program(two_loop_program()))
+        argv += ["--program", str(path)]
+    for name in ("adpcm", "aes", "float", "global", "gsm", "struct"):
+        argv += ["--preset", name]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(calls) == len(set(calls)) == 9
+
+
+def test_programs_with_the_same_stem_get_their_own_rows(tmp_path):
+    longer = ScheduledProgram(
+        functions=(FunctionSchedule(id="g", regions=(loop("b1", "acc", 40),),
+                                    result_regs=frozenset(["acc"])),),
+        dependencies=(), default_inputs={"acc": 3, "s": 7})
+    paths = []
+    for sub, program in (("one", two_loop_program()), ("two", longer)):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "prog.json")
+        paths[-1].write_text(serialize_program(program))
+
+    def rows(*programs):
+        out = tmp_path / f"out{len(programs)}_{programs[0].parent.name}"
+        argv = ["compare", "--policy", "cp", "--outages", "1", "--rounds", "4",
+                "--out", str(out)]
+        for path in programs:
+            argv += ["--program", str(path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        return (out / "rollback.csv").read_text().splitlines()[1:]
+
+    alone = [rows(path) for path in paths]
+    assert alone[0] != alone[1]
+    assert rows(*paths) == alone[0] + alone[1]
+    # a program file rewritten between two runs in one process is read again
+    paths[0].write_text(paths[1].read_text())
+    assert rows(paths[0]) == alone[1]

@@ -296,3 +296,28 @@ def test_prepare_reports_every_violation():
     with pytest.raises(ProgramError) as exc:
         powersim.prepare(program)
     assert str(exc.value).splitlines() == violations
+
+
+def test_a_width_declared_by_a_reader_holds_program_wide():
+    # F1 writes `a` and declares no width for it; its successor F2 reads `a`
+    # and declares it 8 bits wide, which the engine applies to F1's write
+    f1 = fn("F1", "straight", 1, 2, [op("o1", "const", [], "a", 0, 1, value=0x1FE)],
+            [], ["a"])
+    f2 = FunctionSchedule(id="F2", regions=(Region(
+        kind="straight", iterations=1, body_length=1, live_in=("a",),
+        ops=(op("o2", "pass", ["a"], "b", 0, 0),), reg_widths={"a": 8}),),
+        result_regs=frozenset(["b"]))
+    program = ScheduledProgram(functions=(f1, f2), dependencies=(("F1", "F2"),))
+    assert validate(program) == []
+    assert execute_reference(program) == {"a": 254, "b": 254}
+    prep = powersim.prepare(program)
+    # one 8-FF SLICE for `a`, so F1's smallest tracker (15 FFs) costs more
+    # than the registers it guards
+    assert prep.placement.regs["a"].bit_count() == 1
+    assert prep.specs["F1"].mode == "store_all"
+    assert prep.specs["F2"].mode == "tracked"
+    for policy in POLICIES:
+        for point in range(prep.total_cycles):
+            trace = powersim.PowerTrace(points=(point,), seed=0,
+                                        total_cycles=prep.total_cycles)
+            assert powersim.run(program, policy, trace, prepared=prep).consistent

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dftsim import powersim
 from dftsim.program import (
@@ -190,6 +191,65 @@ def test_merge_head_run_becomes_entry_function():
     assert "main__m0" in merged.entry_ids
     after = execute_reference(merged)
     assert all(after[reg] == before[reg] for reg in before)
+
+
+@st.composite
+def main_sequence_programs(draw):
+    """Raw programs whose main sequence mixes calls of straight functions
+    with loose ops at increasing cycles. Every register has one writer,
+    every read is of an input or of an earlier write, and a function's
+    results are any subset of what it writes, so a later reader may need
+    a register that its writer does not export yet."""
+    readable = ["in0", "in1"]
+    functions = []
+    items = []
+    cycle = 0
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            out = f"r{len(readable)}"
+            cycle += draw(st.integers(0, 2))
+            reads = draw(st.lists(st.sampled_from(readable), min_size=2, max_size=2))
+            items.append(("op", op(out, draw(st.sampled_from(("add", "sub", "xor"))),
+                                   reads, out, cycle, cycle)))
+            cycle += 1
+            readable.append(out)
+            continue
+        ops = []
+        live = set()
+        for c in range(draw(st.integers(1, 3))):
+            out = f"r{len(readable)}"
+            reads = draw(st.lists(st.sampled_from(readable), min_size=2, max_size=2))
+            live |= {reg for reg in reads if reg not in {o.output for o in ops}}
+            ops.append(op(out, draw(st.sampled_from(("add", "mul", "xor"))),
+                          reads, out, c, c))
+            readable.append(out)
+        fid = f"F{len(functions)}"
+        results = draw(st.sets(st.sampled_from([o.output for o in ops])))
+        functions.append(FunctionSchedule(
+            id=fid, regions=(straight(ops, len(ops), live_in=sorted(live)),),
+            result_regs=frozenset(results)))
+        items.append(("call", fid))
+    return ScheduledProgram(functions=tuple(functions), dependencies=(),
+                            main_sequence=tuple(items),
+                            default_inputs={"in0": 0x1234567, "in1": 0xFEDCBA98})
+
+
+@settings(max_examples=150, deadline=None)
+@given(main_sequence_programs())
+def test_merge_exports_exactly_what_other_items_read(program):
+    merged = merge(program)
+    assert validate(merged) == []
+    original = {f.id: f.result_regs for f in program.functions}
+    for f in merged.functions:
+        read_elsewhere = set()
+        for g in merged.functions:
+            if g.id != f.id:
+                read_elsewhere.update(g.region.live_in)
+        written = set(f.region.written_regs())
+        assert f.result_regs == original.get(f.id, frozenset()) | (written & read_elsewhere)
+    before = execute_reference(program)
+    after = execute_reference(merged)
+    assert {reg: after[reg] for reg in before} == before
 
 
 def test_normalize_mixed_program():
