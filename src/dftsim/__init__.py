@@ -21,9 +21,7 @@ from .liveness import (
     LiveSetTable,
     TrackerSpec,
     live_sets,
-    make_tracker_spec,
     resume_point,
-    tracking_policy,
 )
 from .tracker import TrackerState, can_start
 from .placement import Placement, assign_slices

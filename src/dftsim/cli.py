@@ -5,8 +5,17 @@ sets, placement, address table) and writes its artifacts. ``simulate``
 performs one intermittent run and serializes the report. ``compare``
 sweeps outage counts over seeded Monte Carlo rounds and emits CSV grids.
 
-Exit codes: 0 success, 2 validation error, 3 crash-consistency violation,
-4 configuration error. Output directory defaults to $DFTSIM_OUT or cwd.
+Every command takes ``--program`` or ``--preset`` (``compare`` several,
+the others exactly one), ``--grid``, ``--ffs-per-slice`` and ``--out``.
+``simulate`` and ``compare`` add ``--outages``, ``--seed`` and
+``--policy`` (one for ``simulate``, default ``dft``; any number for
+``compare``, default all); ``compare`` alone takes ``--rounds`` and
+``--jobs``. An option that a command does not take is a usage error.
+
+Exit codes: 0 success, 2 validation or usage error (argparse also exits 2
+for a value it rejects, such as ``--ffs-per-slice 4``), 3
+crash-consistency violation, 4 configuration error. Output directory
+defaults to $DFTSIM_OUT or cwd.
 
 ``compare`` writes three CSV files. In ``rollback.csv`` and
 ``ffstores.csv`` each row is one (benchmark, policy, k) cell, in the
@@ -172,10 +181,10 @@ def cmd_analyze(args) -> int:
 
     per_fn = {}
     for fid, spec in sorted(prep.specs.items()):
-        ffs, luts = placement.tracker_resources(spec.width)
+        tracked = spec.mode == TRACKED
         entry = {"mode": spec.mode, "width": spec.width,
-                 "tracker_ffs": ffs if spec.mode == TRACKED else 0,
-                 "tracker_luts": luts if spec.mode == TRACKED else 0}
+                 "tracker_ffs": spec.ffs if tracked else 0,
+                 "tracker_luts": placement.tracker_resources(spec.width)[1] if tracked else 0}
         if 4 <= spec.width <= 9:
             cf, cl, cb = placement.cu_resources(spec.width)
             entry["cu_ffs"], entry["cu_luts"], entry["cu_brams"] = cf, cl, cb
@@ -201,16 +210,13 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     name, source = _one_source(args)
-    policies = args.policy or ["dft"]
-    if len(policies) != 1:
-        raise ConfigError("simulate takes exactly one --policy")
     lo, hi = _parse_outages(args.outages)
     if lo != hi:
         raise ConfigError("simulate takes a single outage count")
     program, prep = _prepare_source(source, _parse_grid(args.grid), args.ffs_per_slice)
     _check_outages(name, lo, prep)
     trace = powersim.gen_trace(prep.total_cycles, lo, args.seed)
-    report = powersim.run(program, powersim.Policy(policies[0]), trace, prepared=prep)
+    report = powersim.run(program, powersim.Policy(args.policy), trace, prepared=prep)
     doc = {
         "benchmark": name,
         "policy": report.policy,
@@ -295,42 +301,39 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"analyze": cmd_analyze, "simulate": cmd_simulate, "compare": cmd_compare}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dftsim",
         description="Tracker-based checkpoint simulation for non-volatile FPGAs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    analyze, simulate, compare = (sub.add_parser(name) for name in COMMANDS)
+    for p in (analyze, simulate, compare):
         p.add_argument("--program", action="append", metavar="PATH",
                        help="program description JSON")
         p.add_argument("--preset", action="append", metavar="NAME",
                        help=f"built-in benchmark shape ({', '.join(benchgen.PRESETS)})")
-        p.add_argument("--policy", action="append",
-                       choices=list(powersim.POLICY_NAMES))
-        p.add_argument("--outages", default="0", metavar="A..B",
-                       help="outage count or inclusive range")
-        p.add_argument("--rounds", type=int, default=10)
-        p.add_argument("--seed", type=int, default=1)
         p.add_argument("--grid", default="100x100", metavar="WxH")
         p.add_argument("--ffs-per-slice", type=int, choices=(8, 16), default=8)
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default: $DFTSIM_OUT or .)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes for compare")
-
-    for name, fn in (("analyze", cmd_analyze), ("simulate", cmd_simulate),
-                     ("compare", cmd_compare)):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn)
+    for p, outages in ((simulate, "K"), (compare, "K|A..B")):
+        p.add_argument("--outages", default="0", metavar=outages)
+        p.add_argument("--seed", type=int, default=1)
+    simulate.add_argument("--policy", default="dft", choices=list(powersim.POLICY_NAMES))
+    compare.add_argument("--policy", action="append", choices=list(powersim.POLICY_NAMES),
+                         help="policy to compare; repeatable (default: all)")
+    compare.add_argument("--rounds", type=int, default=10)
+    compare.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -162,11 +162,6 @@ class CompiledProgram:
             self.widths.append(widths.get(rid, 32))
         self.regions: Dict[str, CompiledRegion] = {}
 
-    def add_region(self, function_id: str, ops, body_length: int,
-                   widths: Mapping[str, int]) -> None:
-        self.regions[function_id] = CompiledRegion(
-            ops, body_length, self.reg_index, widths)
-
     def new_regfile(self, inputs: Mapping[str, int]) -> List[int]:
         regs = [0] * len(self.widths)
         for rid, value in inputs.items():

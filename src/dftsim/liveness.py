@@ -14,16 +14,20 @@ that exhaustively with a brute-force restore-replay oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .placement import tracker_resources
-from .program import FunctionSchedule, ProgramError, Region, _widths_map
+from .program import ProgramError, Region, _widths_map
 
 TRACKED = "tracked"
 STORE_ALL = "store_all"
 
 MIN_WIDTH = 4
 MAX_WIDTH = 16
+
+# Per-function control/lock state carried by a store-all function instead
+# of a counter: phase plus the two lock bits.
+STORE_ALL_CONTROL_FFS = 4
 
 _INF = 1 << 60
 
@@ -35,18 +39,17 @@ class UntrackableLength(ProgramError):
 @dataclass(frozen=True)
 class LiveSetTable:
     body_length: int
-    iterations: int
     live: Tuple[frozenset, ...]    # index n: registers to preserve at cycle n
     resume: Tuple[int, ...]        # index n: r(n)
 
 
 @dataclass(frozen=True)
 class TrackerSpec:
-    function_id: str
     iterations: int                # loop arbitration bound
     body_length: int               # counter wrap bound
     width: int                     # counter bit width
     mode: str                      # TRACKED or STORE_ALL
+    ffs: int                       # flip-flops placement gives the tracker
 
     @property
     def max_cycles(self) -> int:
@@ -100,8 +103,7 @@ def live_sets(region: Region, result_regs: frozenset = frozenset()) -> LiveSetTa
                 s.add(reg)                             # live across cycle n
         live.append(frozenset(s))
         resume.append(resume_point(region, n))
-    return LiveSetTable(body_length=L, iterations=region.iterations,
-                        live=tuple(live), resume=tuple(resume))
+    return LiveSetTable(body_length=L, live=tuple(live), resume=tuple(resume))
 
 
 def counter_width(iterations: int, body_length: int) -> int:
@@ -115,44 +117,24 @@ def counter_width(iterations: int, body_length: int) -> int:
         f"exceeds the {MAX_WIDTH}-bit ceiling")
 
 
-def make_tracker_spec(function: FunctionSchedule, mode: str = TRACKED) -> TrackerSpec:
-    """Tracker parameters for a normalized function.
+def plan_trackers(program) -> Dict[str, TrackerSpec]:
+    """Tracker spec per function of a normalized program.
 
     A straight-line function tracks with one iteration and its full length
-    as the wrap bound; a loop reuses the counter across iterations.
+    as the wrap bound; a loop reuses the counter across iterations. When
+    the tracker's flip-flops are at least those of the registers the
+    function writes (at program-wide widths), storing them all on an
+    outage is cheaper: ties fall to STORE_ALL, and its tracker keeps only
+    STORE_ALL_CONTROL_FFS. ``ffs`` is what placement gives the tracker.
     """
-    region = function.region
-    width = counter_width(region.iterations, region.body_length)
-    return TrackerSpec(function_id=function.id, iterations=region.iterations,
-                       body_length=region.body_length, width=width, mode=mode)
-
-
-def function_register_ffs(function: FunctionSchedule, widths: Mapping[str, int]) -> int:
-    """Flip-flops held by the function's own (written) registers, at their
-    program-wide ``widths``."""
-    return sum(widths.get(op.output, 32) for op in function.region.ops)
-
-
-def tracking_policy(function: FunctionSchedule, widths: Mapping[str, int]) -> str:
-    """Decide whether a function earns a tracker; ``widths`` are the
-    program's register widths.
-
-    When the tracker itself would cost at least as many flip-flops as the
-    registers it guards, storing every register on an outage is cheaper
-    than tracking; ties fall to STORE_ALL.
-    """
-    region = function.region
-    width = counter_width(region.iterations, region.body_length)
-    tracker_ffs, _ = tracker_resources(width)
-    if tracker_ffs >= function_register_ffs(function, widths):
-        return STORE_ALL
-    return TRACKED
-
-
-def plan_trackers(program) -> Dict[str, TrackerSpec]:
-    """Tracker spec per function, mode chosen by the tracking policy."""
     widths = _widths_map(program)
     specs: Dict[str, TrackerSpec] = {}
     for f in program.functions:
-        specs[f.id] = make_tracker_spec(f, tracking_policy(f, widths))
+        r = f.region
+        width = counter_width(r.iterations, r.body_length)
+        ffs, _ = tracker_resources(width)
+        mode = TRACKED
+        if ffs >= sum(widths.get(op.output, 32) for op in r.ops):
+            mode, ffs = STORE_ALL, STORE_ALL_CONTROL_FFS
+        specs[f.id] = TrackerSpec(r.iterations, r.body_length, width, mode, ffs)
     return specs

@@ -42,10 +42,6 @@ CHIP_LUTS = 53200
 CHIP_BRAMS = 280
 CHIP_SLICES = 13300
 
-# Per-function control/lock state carried by a store-all function instead
-# of a counter: phase plus the two lock bits.
-STORE_ALL_CONTROL_FFS = 4
-
 
 class PlacementOverflow(ProgramError):
     pass
@@ -150,9 +146,9 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int,
                   grid: Tuple[int, int]) -> Placement:
     """Deterministic greedy packing of registers, then trackers.
 
-    ``specs`` maps function id to its TrackerSpec; tracker flip-flop counts
-    come from the resource table (store-all functions keep only their
-    control/lock state). External live-ins bound at run time are placed
+    ``specs`` maps function id to its TrackerSpec, whose ``ffs`` are the
+    flip-flops its tracker takes, as ``liveness.plan_trackers`` chose
+    them. External live-ins bound at run time are placed
     with the first function declaring them, so every register that can
     appear in a checkpoint set has an address. A register's width is the
     one the program declares for it in any region.
@@ -178,14 +174,7 @@ def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int,
                 placed[reg] = packer.place(widths.get(reg, 32))
 
     packer.fresh_slice()  # trackers never share SLICEs with registers
-    trackers: Dict[str, int] = {}
-    for fid in sorted(specs):
-        spec = specs[fid]
-        if spec.mode == "tracked":
-            ffs, _ = tracker_resources(spec.width)
-        else:
-            ffs = STORE_ALL_CONTROL_FFS
-        trackers[fid] = packer.place(ffs)
+    trackers = {fid: packer.place(specs[fid].ffs) for fid in sorted(specs)}
 
     return Placement(
         ffs_per_slice=ffs_per_slice, grid_w=grid[0], regs=placed, trackers=trackers,

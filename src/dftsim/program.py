@@ -75,13 +75,6 @@ class Region:
     def written_regs(self) -> Tuple[str, ...]:
         return tuple(op.output for op in self.ops)
 
-    def writer_end(self, reg: str) -> Optional[int]:
-        """End cycle of the op writing ``reg`` in this body, if any."""
-        for op in self.ops:
-            if op.output == reg:
-                return op.end
-        return None
-
 
 @dataclass(frozen=True)
 class FunctionSchedule:
@@ -345,7 +338,7 @@ def serialize_program(program: ScheduledProgram) -> str:
                         "iterations": r.iterations,
                         "body_length": r.body_length,
                         "live_in": list(r.live_in),
-                        "reg_widths": {k: r.reg_widths[k] for k in sorted(r.reg_widths)},
+                        "reg_widths": dict(r.reg_widths),
                         "ops": [_op_doc(o) for o in r.ops],
                     }
                     for r in f.regions
@@ -361,7 +354,7 @@ def serialize_program(program: ScheduledProgram) -> str:
             for tag, x in program.main_sequence
         ]}
     if program.default_inputs:
-        doc["inputs"] = {k: program.default_inputs[k] for k in sorted(program.default_inputs)}
+        doc["inputs"] = dict(program.default_inputs)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -494,7 +487,7 @@ def _interp_region(region: Region, regs: Dict[str, int], widths: Mapping[str, in
     """Dict-based region interpreter: the reference evaluator."""
     for reg in region.live_in:
         if reg not in regs:
-            if region.writer_end(reg) is not None:
+            if reg in region.written_regs():
                 raise UnboundLiveInError(
                     f"loop-carried register {reg} has no initial value")
             raise UnboundLiveInError(f"live-in register {reg} is unbound")
@@ -562,7 +555,7 @@ def compile_program(program: ScheduledProgram) -> engine.CompiledProgram:
     cp = engine.CompiledProgram(all_registers(program), widths)
     for f in program.functions:
         r = f.region
-        cp.add_region(f.id, r.ops, r.body_length, widths)
+        cp.regions[f.id] = engine.CompiledRegion(r.ops, r.body_length, cp.reg_index, widths)
     return cp
 
 
@@ -602,23 +595,21 @@ def _run_loose(ops: Sequence[Operation], regs: Dict[str, int], widths: Mapping[s
     _interp_region(region, regs, widths)
 
 
-def execute_reference(program: ScheduledProgram,
-                      inputs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
+def execute_reference(program: ScheduledProgram) -> Dict[str, int]:
     """Run every function to completion with no outages.
 
     Returns the FinalState: values of all result registers. Deterministic
-    for a fixed program and inputs. Raw and normalized programs alike are
-    stepped by the dict interpreter ``_interp_region``, which shares no
-    code with the generated engine, so every consistency check of a simulated
-    run also tests the engine, and transform equivalence tests compare the
-    programs before and after a rewrite. Bound inputs are masked to their
-    declared widths, as ``CompiledProgram.new_regfile`` does.
+    for a fixed program; its ``default_inputs`` bind the inputs. Raw and
+    normalized programs alike are stepped by the dict interpreter
+    ``_interp_region``, which shares no code with the generated engine, so
+    every consistency check of a simulated run also tests the engine, and
+    transform equivalence tests compare the programs before and after a
+    rewrite. Bound inputs are masked to their declared widths, as
+    ``CompiledProgram.new_regfile`` does.
     """
-    bound = dict(program.default_inputs)
-    if inputs:
-        bound.update(inputs)
     widths = _widths_map(program)
-    regs = {reg: v & ((1 << widths.get(reg, 32)) - 1) for reg, v in bound.items()}
+    regs = {reg: v & ((1 << widths.get(reg, 32)) - 1)
+            for reg, v in program.default_inputs.items()}
     _interp_program(program, regs, widths)
     return {reg: regs[reg] for reg in sorted(program.all_result_regs())}
 

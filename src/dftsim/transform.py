@@ -30,22 +30,23 @@ class SplitError(ProgramError):
     pass
 
 
-def split(function: FunctionSchedule) -> List[FunctionSchedule]:
+def split(function: FunctionSchedule, program_writes: frozenset) -> List[FunctionSchedule]:
     """Split a function into one single-region fragment per region.
 
     Fragments keep source order and are meant to be chained sequentially
     by the caller. Two kinds of register cross a fragment boundary, each
     threaded through fragment result and live-in registers: values written
-    by an earlier fragment, and live-ins that no region of the function
-    writes (inputs or predecessor results), carried from the first
-    fragment to the one that reads them.
+    by an earlier fragment, and predecessor results that no region of the
+    function writes, carried from the first fragment to the one that
+    reads them.
 
-    A register that a later fragment both reads first and updates (a
-    loop-carried value whose initial value comes from outside) is not
-    threaded. Under the single-writer rule that fragment is its only
-    writer, so its pre-run value can only be a program input, which the
-    fragment reads directly; ``powersim`` reloads such values from the
-    non-volatile input buffer after an outage.
+    A register outside ``program_writes``, the registers the program
+    writes, is a program input and is never threaded: a fragment that
+    reads it binds it from the non-volatile input buffer, which
+    ``powersim`` reloads after an outage, and a result that is a program
+    input is a live-in and a result of the last fragment only. Nor is a
+    register threaded that a later fragment both reads first and updates:
+    under the single-writer rule its pre-run value can only be an input.
     """
     regions = function.regions
     if len(regions) == 1:
@@ -63,18 +64,19 @@ def split(function: FunctionSchedule) -> List[FunctionSchedule]:
     for k, region in enumerate(regions):
         for reg in region.live_in:
             w = writer_region.get(reg)
-            if w == k:
+            if w == k or reg not in program_writes:
                 continue
             if w is not None and w > k:
                 raise SplitError(
                     f"split dataflow break: {function.id} region {k} reads {reg} "
                     f"written only by later region {w}")
-            src = w if (w is not None and w < k) else -1
-            for b in range(max(src + 1, 1), k + 1):
+            for b in range(1 if w is None else w + 1, k + 1):
                 flow[b].add(reg)
 
-    # results never written inside the function ride the whole chain
-    passthrough = {reg for reg in function.result_regs if reg not in writer_region}
+    # results that no region of the function writes: predecessor results
+    # ride the whole chain, program inputs join the last fragment
+    passthrough = (function.result_regs & program_writes).difference(writer_region)
+    inputs = function.result_regs - program_writes
     for b in range(1, n):
         flow[b] |= passthrough
 
@@ -90,7 +92,8 @@ def split(function: FunctionSchedule) -> List[FunctionSchedule]:
         if j < n - 1:
             results |= flow[j + 1]
         else:
-            results |= passthrough
+            live |= inputs
+            results |= passthrough | inputs
         fragments.append(FunctionSchedule(
             id=f"{function.id}__s{j}",
             regions=(replace(region, live_in=tuple(sorted(live))),),
@@ -183,8 +186,10 @@ def normalize(program: ScheduledProgram) -> ScheduledProgram:
     deps: Set[Tuple[str, str]] = set()
     first: Dict[str, str] = {}
     last: Dict[str, str] = {}
+    program_writes = frozenset(op.output for f in merged.functions
+                               for region in f.regions for op in region.ops)
     for f in merged.functions:
-        parts = split(f)
+        parts = split(f, program_writes)
         first[f.id] = parts[0].id
         last[f.id] = parts[-1].id
         out_functions.extend(parts)

@@ -79,18 +79,18 @@ def test_split_dataflow_break_exits_validation(tmp_path, capsys):
     f = FunctionSchedule(id="bad", regions=(first, second), result_regs=frozenset(["y"]))
     path = tmp_path / "bad.json"
     path.write_text(serialize_program(ScheduledProgram(functions=(f,), dependencies=())))
-    for command in ("analyze", "simulate", "compare"):
-        code = cli.main([command, "--program", str(path), "--out", str(tmp_path),
-                         "--rounds", "1"])
+    for command, extra in (("analyze", []), ("simulate", []), ("compare", ["--rounds", "1"])):
+        code = cli.main([command, "--program", str(path), "--out", str(tmp_path), *extra])
         assert code == cli.EXIT_VALIDATION, command
         assert "split dataflow break" in capsys.readouterr().err, command
 
 
-@pytest.mark.parametrize("command,outages", [("simulate", "100"), ("compare", "0..100")])
-def test_outages_past_progress_cycles_exit_config(command, outages, tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["simulate", "--outages", "100"],
+                                  ["compare", "--outages", "0..100", "--rounds", "1"]],
+                         ids=("simulate-100", "compare-0..100"))
+def test_outages_past_progress_cycles_exit_config(argv, tmp_path, capsys):
     # global has 34 progress cycles, so at most 33 distinct outage points
-    code = cli.main([command, "--preset", "global", "--outages", outages,
-                     "--rounds", "1", "--out", str(tmp_path)])
+    code = cli.main(argv + ["--preset", "global", "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "--outages 100" in err and "34 progress cycles" in err
@@ -107,8 +107,8 @@ def test_normalized_program_validated_once(command, two_loop_path, tmp_path, mon
 
     monkeypatch.setattr(cli, "validate", counting)
     monkeypatch.setattr(powersim, "validate", counting)
-    code = cli.main([command, "--program", str(two_loop_path), "--out", str(tmp_path),
-                     "--rounds", "1"])
+    extra = ["--rounds", "1"] if command == "compare" else []
+    code = cli.main([command, "--program", str(two_loop_path), "--out", str(tmp_path), *extra])
     assert code == cli.EXIT_OK
     # analyze also validates the raw program, before normalizing it
     assert normalized == ([False, True] if command == "analyze" else [True])
@@ -132,6 +132,19 @@ def test_bad_arguments_exit_config(argv, message, tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--policy", "dft"], ["analyze", "--outages", "1"],
+    ["analyze", "--rounds", "1"], ["analyze", "--seed", "3"], ["analyze", "--jobs", "2"],
+    ["simulate", "--rounds", "1"], ["simulate", "--jobs", "2"],
+], ids=lambda argv: argv[0] + argv[1][1:])
+def test_options_a_command_does_not_read_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--preset", "global", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2     # argparse's usage error
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -19,8 +19,16 @@ from dataclasses import replace
 import pytest
 
 from dftsim import benchgen, transform, tracker as trk
-from dftsim.liveness import live_sets, make_tracker_spec, resume_point
-from dftsim.program import FunctionSchedule, Operation, Region, _interp_region, _widths_map
+from dftsim.liveness import STORE_ALL, TRACKED, TrackerSpec, live_sets, plan_trackers, resume_point
+from dftsim.placement import assign_slices
+from dftsim.program import (
+    FunctionSchedule,
+    Operation,
+    Region,
+    ScheduledProgram,
+    _interp_region,
+    _widths_map,
+)
 
 LOST = 0xDEADBEEF
 
@@ -115,8 +123,8 @@ def test_resume_point_table(region, resume):
 @pytest.mark.parametrize("region,resume", RESUME_TABLES)
 def test_restore_rolls_back_to_the_resume_point(region, resume):
     L = region.body_length
-    f = FunctionSchedule(id="f", regions=(region,), result_regs=frozenset())
-    spec = make_tracker_spec(f)
+    spec = TrackerSpec(iterations=region.iterations, body_length=L,
+                       width=4, mode=TRACKED, ffs=15)
     for n in range(L):
         tr = trk.make_trackers({"f": spec})["f"].advance(n + 1)
         if not tr.remaining:     # a finished function has nothing to roll back
@@ -129,3 +137,26 @@ def test_restore_rolls_back_to_the_resume_point(region, resume):
         # body cycles done: n + 1 before the restore, the resume point's
         # successor after it
         assert rolled["f"].remaining == spec.max_cycles - (resume[n] + 1)
+
+
+def const_function(fid, reg, width):
+    """A one-cycle straight function, so a 4-bit tracker, that writes one
+    ``width``-bit register."""
+    region = Region(kind="straight", iterations=1, body_length=1,
+                    ops=(Operation(id=f"{fid}o", opcode="const", inputs=(), output=reg,
+                                   start=0, end=0, value=1),),
+                    reg_widths={reg: width})
+    return FunctionSchedule(id=fid, regions=(region,), result_regs=frozenset({reg}))
+
+
+def test_a_tracker_as_large_as_its_registers_stores_all():
+    # a 4-bit tracker takes 15 FFs: against 15 FFs of registers that is a
+    # tie, which goes to STORE_ALL and its 4 FFs of control state
+    program = ScheduledProgram(functions=(const_function("F15", "a", 15),
+                                          const_function("F16", "b", 16)),
+                               dependencies=())
+    specs = plan_trackers(program)
+    assert [(s.width, s.mode, s.ffs) for s in specs.values()] == [
+        (4, STORE_ALL, 4), (4, TRACKED, 15)]
+    placed = assign_slices(program, specs, 8, (10, 10))
+    assert placed.occupied_ffs(placed.trackers["F15"] | placed.trackers["F16"]) == 19

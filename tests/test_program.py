@@ -35,11 +35,11 @@ def straight(ops, length, live_in=(), widths=None):
                   reg_widths=widths or {})
 
 
-def one_fn_program(region, fid="f1", results=()):
+def one_fn_program(region, fid="f1", results=(), inputs=None):
     return ScheduledProgram(
         functions=(FunctionSchedule(id=fid, regions=(region,),
                                     result_regs=frozenset(results)),),
-        dependencies=())
+        dependencies=(), default_inputs=inputs or {})
 
 
 MINIMAL = json.dumps({
@@ -276,7 +276,7 @@ def test_live_in_from_non_predecessor_rejected():
 
 def test_pass_copies_input():
     r = straight([op("o1", "pass", ["a"], "r0", 0, 0)], 1, live_in=["a"])
-    final = execute_reference(one_fn_program(r, results=["r0"]), {"a": 7})
+    final = execute_reference(one_fn_program(r, results=["r0"], inputs={"a": 7}))
     assert final == {"r0": 7}
 
 
@@ -289,15 +289,15 @@ def test_loop_carried_accumulator():
     # three iterations of acc += 5 starting from 0
     r = Region(kind="loop", iterations=3, body_length=2, live_in=("acc", "step"),
                ops=(op("a1", "add", ["acc", "step"], "acc", 0, 0),))
-    program = one_fn_program(r, results=["acc"])
-    final = execute_reference(program, {"acc": 0, "step": 5})
+    program = one_fn_program(r, results=["acc"], inputs={"acc": 0, "step": 5})
+    final = execute_reference(program)
     assert final == {"acc": 15}
 
 
 def test_unbound_live_in_raises():
     r = straight([op("o1", "pass", ["a"], "r0", 0, 0)], 1, live_in=["a"])
     with pytest.raises(UnboundLiveInError):
-        execute_reference(one_fn_program(r, results=["r0"]), {})
+        execute_reference(one_fn_program(r, results=["r0"]))
 
 
 def test_wrapping_arithmetic_and_width_mask():
@@ -305,8 +305,8 @@ def test_wrapping_arithmetic_and_width_mask():
                   op("o2", "mul", ["a", "b"], "r1", 1, 1),
                   op("o3", "add", ["a", "b"], "r2", 2, 2)], 3,
                  live_in=["a", "b"], widths={"r2": 4})
-    program = one_fn_program(r, results=["r0", "r1", "r2"])
-    final = execute_reference(program, {"a": 0xFFFFFFFF, "b": 2})
+    program = one_fn_program(r, results=["r0", "r1", "r2"], inputs={"a": 0xFFFFFFFF, "b": 2})
+    final = execute_reference(program)
     assert final["r0"] == 1                    # 32-bit wrap
     assert final["r1"] == 0xFFFFFFFE           # (2^32-1)*2 mod 2^32
     assert final["r2"] == 1 & 0xF              # narrowed to 4 bits
@@ -316,7 +316,7 @@ def test_multi_cycle_visibility():
     # o1 spans [0,2]; consumer starts at 3 and sees its value
     r = straight([op("o1", "add", ["a", "a"], "x", 0, 2),
                   op("o2", "add", ["x", "a"], "y", 3, 3)], 5, live_in=["a"])
-    final = execute_reference(one_fn_program(r, results=["y"]), {"a": 10})
+    final = execute_reference(one_fn_program(r, results=["y"], inputs={"a": 10}))
     assert final == {"y": 30}
 
 

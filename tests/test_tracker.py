@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dftsim import tracker as trk
-from dftsim.liveness import live_sets, make_tracker_spec
+from dftsim.liveness import TRACKED, TrackerSpec, live_sets
 from dftsim.program import FunctionSchedule, Operation, Region
 
 
@@ -75,7 +75,8 @@ def segments(draw):
 def test_advance_matches_a_cycle_by_cycle_counter(case):
     iterations, body_length, segs = case
     f = function(iterations, body_length)
-    spec = make_tracker_spec(f)
+    spec = TrackerSpec(iterations=iterations, body_length=body_length,
+                       width=4, mode=TRACKED, ffs=15)
     table = live_sets(f.region, f.result_regs)
     tr = trk.make_trackers({"f": spec})["f"]
     ref = Reference(iterations, body_length)
