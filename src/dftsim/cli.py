@@ -14,7 +14,8 @@ the others exactly one), ``--grid``, ``--ffs-per-slice`` and ``--out``.
 
 Exit codes: 0 success, 2 validation or usage error (argparse also exits 2
 for a value it rejects, such as ``--ffs-per-slice 4``), 3
-crash-consistency violation, 4 configuration error. Output directory
+crash-consistency violation, 4 configuration error (including an
+``--out`` that names a file or a path under one). Output directory
 defaults to $DFTSIM_OUT or cwd.
 
 ``compare`` writes three CSV files. In ``rollback.csv`` and
@@ -126,9 +127,11 @@ def _load_program(source: str):
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("DFTSIM_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or os.environ.get("DFTSIM_OUT") or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc.strerror or exc}")
     return path
 
 
@@ -160,6 +163,7 @@ def cmd_analyze(args) -> int:
     config = powersim.SimConfig(ffs_per_slice=args.ffs_per_slice,
                                 grid=_parse_grid(args.grid))
     prep = powersim.prepare(program, config)
+    table_blob = serialize_table(prep.table)   # may not fit: fail before any write
 
     (out / f"{name}.normalized.json").write_text(serialize_program(program))
     trackers = {
@@ -177,7 +181,7 @@ def cmd_analyze(args) -> int:
     }
     (out / f"{name}.livesets.json").write_text(json.dumps(livesets, indent=2) + "\n")
     (out / f"{name}.placement.txt").write_text(prep.placement.dump())
-    (out / f"{name}.cu_table.bin").write_bytes(serialize_table(prep.table))
+    (out / f"{name}.cu_table.bin").write_bytes(table_blob)
 
     per_fn = {}
     for fid, spec in sorted(prep.specs.items()):

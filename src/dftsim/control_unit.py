@@ -157,6 +157,8 @@ def serialize_table(table: ControlUnitTable) -> bytes:
     Header: u32 row count (tracker region first), u32 pool entry count.
     Directory: per row, u16 pool start + u16 length.
     Pool: per address, u16 x + u16 y, each row sorted by (x, y).
+
+    Raises ControlUnitError naming the first field above 65535.
     """
     pool: List[Tuple[int, int]] = []
     directory: List[Tuple[int, int]] = []
@@ -165,8 +167,13 @@ def serialize_table(table: ControlUnitTable) -> bytes:
         directory.append((len(pool), len(addrs)))
         pool.extend(addrs)
     out = [struct.pack("<II", len(directory), len(pool))]
-    for start, length in directory:
-        out.append(struct.pack("<HH", start, length))
-    for x, y in pool:
-        out.append(struct.pack("<HH", x, y))
+    for kind, fields, entries in (("row", ("pool start", "length"), directory),
+                                  ("pool entry", ("x", "y"), pool)):
+        for i, entry in enumerate(entries):
+            for name, value in zip(fields, entry):
+                if value > 0xFFFF:
+                    raise ControlUnitError(
+                        f"address table too large for its binary form: {kind} {i} "
+                        f"has {name} {value}, above 65535")
+            out.append(struct.pack("<HH", *entry))
     return b"".join(out)

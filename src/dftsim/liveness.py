@@ -29,8 +29,6 @@ MAX_WIDTH = 16
 # of a counter: phase plus the two lock bits.
 STORE_ALL_CONTROL_FFS = 4
 
-_INF = 1 << 60
-
 
 class UntrackableLength(ProgramError):
     pass
@@ -65,56 +63,46 @@ def resume_point(region: Region, n: int) -> int:
 
 
 def live_sets(region: Region, result_regs: frozenset = frozenset()) -> LiveSetTable:
-    """Compute the per-cycle live sets of one body iteration.
+    """Compute the per-cycle live sets of one body iteration from intervals.
 
-    The table is iteration-invariant: loop-carried live-ins keep a virtual
-    consumer beyond the body (their latest value seeds the next iteration),
-    as do the function's result registers, so one table serves every
-    iteration of the loop.
+    Each op's output is live at its end cycle (just latched), and its
+    inputs over [start, end) (feeding it while in flight). A register with
+    a later consumer is live over [first, min(last, L)): ``first`` is 0 for
+    a live-in and otherwise its writer's end cycle, and ``last`` is the
+    latest start of an op reading it. Result registers, and the live-ins
+    of a loop, have ``last`` = L: the next iteration or the function's
+    successors read them. So one table serves every iteration.
     """
     L = region.body_length
-    writer_end: Dict[str, int] = {op.output: op.end for op in region.ops}
-
-    last_start: Dict[str, int] = {}
+    live: List[set] = [set() for _ in range(L)]
+    last: Dict[str, int] = {}
     for op in region.ops:
+        live[op.end].add(op.output)
+        for n in range(op.start, op.end):
+            live[n].update(op.inputs)
         for reg in op.inputs:
-            last_start[reg] = max(last_start.get(reg, -1), op.start)
-    for reg in result_regs:
-        last_start[reg] = _INF
+            last[reg] = max(last.get(reg, -1), op.start)
+    last.update(dict.fromkeys(result_regs, L))
     if region.iterations > 1:
-        for reg in region.live_in:
-            last_start[reg] = _INF
+        last.update(dict.fromkeys(region.live_in, L))
 
-    live: List[frozenset] = []
-    resume: List[int] = []
-    live_in = set(region.live_in)
-    for n in range(L):
-        s = set()
-        for op in region.ops:
-            if op.end == n:
-                s.add(op.output)                       # just latched
-            if op.start <= n < op.end:
-                s.update(op.inputs)                    # feeding an in-flight op
-        for reg, last in last_start.items():
-            if last <= n:
-                continue
-            written_by = writer_end.get(reg)
-            if reg in live_in or (written_by is not None and written_by <= n):
-                s.add(reg)                             # live across cycle n
-        live.append(frozenset(s))
-        resume.append(resume_point(region, n))
-    return LiveSetTable(body_length=L, live=tuple(live), resume=tuple(resume))
+    first = {op.output: op.end for op in region.ops}
+    first.update(dict.fromkeys(region.live_in, 0))
+    for reg, stop in last.items():
+        for n in range(first.get(reg, L), min(stop, L)):
+            live[n].add(reg)
+    return LiveSetTable(body_length=L, live=tuple(map(frozenset, live)),
+                        resume=tuple(resume_point(region, n) for n in range(L)))
 
 
-def counter_width(iterations: int, body_length: int) -> int:
+def counter_width(fid: str, iterations: int, body_length: int) -> int:
     """Smallest supported width whose counter holds both bounds."""
     need = max(iterations, body_length)
-    for width in range(MIN_WIDTH, MAX_WIDTH + 1):
-        if (2 ** width - 1) >= need:
-            return width
-    raise UntrackableLength(
-        f"untrackable length: max(iterations, body_length) = {need} "
-        f"exceeds the {MAX_WIDTH}-bit ceiling")
+    if need.bit_length() > MAX_WIDTH:
+        raise UntrackableLength(
+            f"untrackable length of {fid}: max(iterations, body_length) = {need} "
+            f"exceeds the {MAX_WIDTH}-bit ceiling")
+    return max(MIN_WIDTH, need.bit_length())
 
 
 def plan_trackers(program) -> Dict[str, TrackerSpec]:
@@ -131,7 +119,7 @@ def plan_trackers(program) -> Dict[str, TrackerSpec]:
     specs: Dict[str, TrackerSpec] = {}
     for f in program.functions:
         r = f.region
-        width = counter_width(r.iterations, r.body_length)
+        width = counter_width(f.id, r.iterations, r.body_length)
         ffs, _ = tracker_resources(width)
         mode = TRACKED
         if ffs >= sum(widths.get(op.output, 32) for op in r.ops):

@@ -1,17 +1,18 @@
 """Synthetic deterministic placement and the hardware resource tables.
 
-Real toolchains assign registers to SLICEs during synthesis; here a greedy
-packer fabricates reproducible addresses instead, so address tables and
-BRAM accounting are stable across runs. Registers are packed
-function-by-function in (function id, register id) order, filling SLICEs
-in row-major grid order; tracker flip-flops go to dedicated SLICEs after
-all program registers, because the tracker region is stored wholesale on
-every outage and must not drag program registers along.
+Real toolchains assign registers to SLICEs during synthesis; here plain
+arithmetic fabricates reproducible addresses instead, so address tables
+and BRAM accounting are stable across runs. The flip-flops are numbered
+in fill order, F = ``ffs_per_slice`` to a SLICE: offset ``o`` is in SLICE
+``o // F``. Registers take consecutive offsets, function by function in
+(function id, register id) order; the trackers follow from the next
+multiple of F, in SLICEs of their own, because the tracker region is
+stored wholesale on every outage and must not drag registers along.
 
 A set of SLICEs is an integer mask: bit ``i`` is SLICE
-``(i % grid_w, i // grid_w)``, which is also the order in which the packer
-fills them. So the SLICEs of one register or tracker are a run of
-consecutive bits, and a union of SLICE sets is an OR.
+``(i % grid_w, i // grid_w)``, so SLICEs fill in row-major grid order.
+The SLICEs of one register or tracker, offsets [lo, hi), are the run of
+bits lo // F up to ceil(hi / F), and a union of SLICE sets is an OR.
 """
 
 from __future__ import annotations
@@ -22,13 +23,8 @@ from typing import Dict, List, Mapping, Tuple
 
 from .program import ProgramError, ScheduledProgram, _widths_map
 
-# Measured tracker cost per counter width (flip-flops, LUTs). Widths past
-# the measured range extrapolate the FF column's +3/bit slope; LUT usage
-# saturates at 110.
-_TRACKER_TABLE: Dict[int, Tuple[int, int]] = {
-    4: (15, 90), 5: (18, 102), 6: (21, 102),
-    7: (24, 102), 8: (27, 102), 9: (30, 110),
-}
+# Measured tracker LUTs per counter width; wider trackers saturate at 110.
+_TRACKER_LUTS: Dict[int, int] = {4: 90, 5: 102, 6: 102, 7: 102, 8: 102}
 
 # Control-unit cost per tracker width (FF, LUT, BRAM). Widths below 8 keep
 # the address table in logic, hence zero BRAMs and the FF/LUT step at 8.
@@ -48,12 +44,11 @@ class PlacementOverflow(ProgramError):
 
 
 def tracker_resources(width: int) -> Tuple[int, int]:
-    """(flip-flops, LUTs) of one tracker at the given counter width."""
-    if width in _TRACKER_TABLE:
-        return _TRACKER_TABLE[width]
-    if 10 <= width <= 16:
-        return (15 + 3 * (width - 4), 110)
-    raise ValueError(f"tracker width {width} outside 4..16")
+    """(flip-flops, LUTs) of one tracker at the given counter width: 15
+    FFs at width 4, and 3 more per bit, as measured up to width 9."""
+    if not 4 <= width <= 16:
+        raise ValueError(f"tracker width {width} outside 4..16")
+    return 15 + 3 * (width - 4), _TRACKER_LUTS.get(width, 110)
 
 
 def cu_resources(width: int) -> Tuple[int, int, int]:
@@ -106,76 +101,44 @@ class Placement:
         return "\n".join(lines) + "\n"
 
 
-class _Packer:
-    def __init__(self, ffs_per_slice: int, grid_w: int, grid_h: int):
-        self.ffs_per_slice = ffs_per_slice
-        self.grid_w = grid_w
-        self.grid_h = grid_h
-        self.slice_idx = 0
-        self.used_in_slice = 0
-        self.fills: Dict[int, int] = {}
-
-    def fresh_slice(self) -> None:
-        if self.used_in_slice > 0:
-            self.slice_idx += 1
-            self.used_in_slice = 0
-
-    def place(self, n_ffs: int) -> int:
-        """Mask of the SLICEs that take the next ``n_ffs`` flip-flops."""
-        mask = 0
-        remaining = n_ffs
-        while remaining > 0:
-            room = self.ffs_per_slice - self.used_in_slice
-            if room == 0:
-                self.slice_idx += 1
-                self.used_in_slice = 0
-                room = self.ffs_per_slice
-            idx = self.slice_idx
-            if idx >= self.grid_w * self.grid_h:
-                raise PlacementOverflow(
-                    f"placement overflow: grid {self.grid_w}x{self.grid_h} exhausted")
-            take = min(room, remaining)
-            mask |= 1 << idx
-            self.fills[idx] = self.fills.get(idx, 0) + take
-            self.used_in_slice += take
-            remaining -= take
-        return mask
+def _place(ffs: Mapping[str, int], offset: int, F: int) -> Tuple[Dict[str, int], int]:
+    """Mask of each name's run of ``ffs[name]`` offsets, taken in order
+    from ``offset``, and the offset after the last run."""
+    masks: Dict[str, int] = {}
+    for name, n in ffs.items():
+        masks[name] = (1 << -(-(offset + n) // F)) - (1 << offset // F)
+        offset += n
+    return masks, offset
 
 
 def assign_slices(program: ScheduledProgram, specs: Mapping, ffs_per_slice: int,
                   grid: Tuple[int, int]) -> Placement:
-    """Deterministic greedy packing of registers, then trackers.
+    """Registers, then trackers, on consecutive flip-flop offsets.
 
-    ``specs`` maps function id to its TrackerSpec, whose ``ffs`` are the
-    flip-flops its tracker takes, as ``liveness.plan_trackers`` chose
-    them. External live-ins bound at run time are placed
-    with the first function declaring them, so every register that can
-    appear in a checkpoint set has an address. A register's width is the
-    one the program declares for it in any region.
+    Functions go in id order. Each places the registers it writes, sorted,
+    then the external live-ins it declares first, sorted, so every register
+    that can appear in a checkpoint set has an address; a register takes
+    as many offsets as the width the program declares for it in any region
+    (32 when none). The trackers, in function-id order, start at the next
+    multiple of ``ffs_per_slice`` and each takes ``specs[fid].ffs``
+    offsets, the flip-flops ``liveness.plan_trackers`` chose for it.
     """
     if ffs_per_slice not in (8, 16):
         raise ValueError("ffs_per_slice must be 8 or 16")
-    packer = _Packer(ffs_per_slice, grid[0], grid[1])
-
+    F = ffs_per_slice
     widths = _widths_map(program)
-    placed: Dict[str, int] = {}
-    writer_fn = {}
-    for f in program.functions:
-        for op in f.region.ops:
-            writer_fn[op.output] = f.id
-
+    written = {op.output for f in program.functions for op in f.region.ops}
+    reg_ffs: Dict[str, int] = {}
     for f in sorted(program.functions, key=lambda f: f.id):
-        region = f.region
-        own = sorted({op.output for op in region.ops})
-        external = sorted(reg for reg in region.live_in
-                          if reg not in writer_fn and reg not in placed)
-        for reg in own + external:
-            if reg not in placed:
-                placed[reg] = packer.place(widths.get(reg, 32))
-
-    packer.fresh_slice()  # trackers never share SLICEs with registers
-    trackers = {fid: packer.place(specs[fid].ffs) for fid in sorted(specs)}
-
-    return Placement(
-        ffs_per_slice=ffs_per_slice, grid_w=grid[0], regs=placed, trackers=trackers,
-        slice_ffs=dict(packer.fills))
+        external = set(f.region.live_in) - written
+        for reg in sorted({op.output for op in f.region.ops}) + sorted(external):
+            reg_ffs.setdefault(reg, widths.get(reg, 32))
+    regs, regs_end = _place(reg_ffs, 0, F)
+    start = -(-regs_end // F) * F   # trackers never share SLICEs with registers
+    trackers, end = _place({fid: specs[fid].ffs for fid in sorted(specs)}, start, F)
+    if end > grid[0] * grid[1] * F:
+        raise PlacementOverflow(f"placement overflow: grid {grid[0]}x{grid[1]} exhausted")
+    slice_ffs = {i: min(F, hi - i * F) for lo, hi in ((0, regs_end), (start, end))
+                 for i in range(lo // F, -(-hi // F))}
+    return Placement(ffs_per_slice=F, grid_w=grid[0], regs=regs, trackers=trackers,
+                     slice_ffs=slice_ffs)

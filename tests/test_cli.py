@@ -267,3 +267,53 @@ def test_programs_with_the_same_stem_get_their_own_rows(tmp_path):
     # a program file rewritten between two runs in one process is read again
     paths[0].write_text(paths[1].read_text())
     assert rows(paths[0]) == alone[1]
+
+
+def one_loop_doc(iterations, body_length, n_results):
+    """One loop function whose const ops write the 32-bit results r0, r1, ...
+    at cycles 0, 1, ..."""
+    ops = [{"id": f"o{i}", "opcode": "const", "inputs": [], "output": f"r{i}",
+            "start": i, "end": i, "value": i} for i in range(n_results)]
+    return {"functions": [{"id": "f", "result_regs": [op["output"] for op in ops],
+                           "regions": [{"kind": "loop", "iterations": iterations,
+                                        "body_length": body_length, "live_in": [],
+                                        "ops": ops}]}],
+            "dependencies": [], "inputs": {}}
+
+
+def test_a_table_too_large_for_its_binary_form_exits_validation(tmp_path, capsys):
+    # 3,000 status rows of up to 30 four-SLICE registers: 358,385 pool
+    # entries, past the u16 pool start of cu_table.bin
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(one_loop_doc(2, 3000, 30)))
+    out = tmp_path / "out"
+    code = cli.main(["analyze", "--program", str(path), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == ("address table too large for its binary form: "
+                                       "row 563 has pool start 65585, above 65535\n")
+    assert not list(out.iterdir())
+    code = cli.main(["simulate", "--program", str(path), "--out", str(out)])
+    assert code == cli.EXIT_OK
+
+
+def test_an_untrackable_length_names_its_function(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(one_loop_doc(70000, 2, 1)))
+    code = cli.main(["analyze", "--program", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "untrackable length of f: max(iterations, body_length) = 70000 "
+        "exceeds the 16-bit ceiling\n")
+
+
+@pytest.mark.parametrize("command", ("analyze", "simulate", "compare"))
+@pytest.mark.parametrize("under,reason", ((False, "File exists"), (True, "Not a directory")),
+                         ids=("file", "under-file"))
+def test_an_out_that_is_not_a_directory_exits_config(command, under, reason, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    code = cli.main([command, "--preset", "global", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"cannot use output directory {out}: {reason}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

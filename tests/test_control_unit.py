@@ -9,8 +9,7 @@ from dftsim import benchgen, powersim, transform
 from dftsim.control_unit import ControlUnitError, ControlUnitTable, lookup, serialize_table
 from dftsim.liveness import TRACKED
 from oracle import reference_store_set
-from test_golden import two_chain_program
-from test_powersim import fork_join_program
+from programs import fork_join_program, two_chain_program
 
 GRID_W = 400
 

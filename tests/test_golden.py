@@ -11,7 +11,7 @@ statuses and finished functions many times within one run; the record
 of every outage of those runs is pinned on its own. The
 ``analyze`` artifacts of every preset are pinned too, under the default
 configuration and under 16 flip-flops per SLICE on a 37-wide grid, whose
-SLICE rows wrap so that address order differs from packing order. So
+SLICE rows wrap so that address order differs from fill order. So
 are the CSVs of ``compare`` on three small presets, written the same by
 one process and by two worker processes, and the ``simulate`` report
 JSON under every policy.
@@ -23,8 +23,7 @@ import json
 import pytest
 
 from dftsim import benchgen, cli, powersim, transform
-from dftsim.program import ScheduledProgram
-from test_powersim import fork_join_program
+from programs import fork_join_program, two_chain_program
 
 BASE_SEED = 7
 KS = (0, 5, 20)
@@ -67,14 +66,6 @@ def digest(rows):
     for row in rows:
         h.update(json.dumps(row).encode() + b"\n")
     return h.hexdigest()
-
-
-def two_chain_program():
-    a = benchgen.generate(benchgen.random_small_shape(3))
-    b = benchgen.generate(benchgen.random_small_shape(4))
-    return ScheduledProgram(functions=a.functions + b.functions,
-                            dependencies=a.dependencies + b.dependencies,
-                            default_inputs={**a.default_inputs, **b.default_inputs})
 
 
 def grid_rows():

@@ -21,19 +21,13 @@ from dftsim import benchgen, engine
 from dftsim.program import (
     STRAIGHT,
     FunctionSchedule,
-    Operation,
     Region,
     ScheduledProgram,
     _interp_region,
     _widths_map,
     compile_program,
 )
-from test_golden import two_chain_program
-
-
-def op(oid, opcode, inputs, output, start, end, value=0):
-    return Operation(id=oid, opcode=opcode, inputs=tuple(inputs), output=output,
-                     start=start, end=end, value=value)
+from programs import op, two_chain_program
 
 
 def one_region_program(region):

@@ -29,6 +29,7 @@ from dftsim.program import (
     _interp_region,
     _widths_map,
 )
+from programs import op
 
 LOST = 0xDEADBEEF
 
@@ -79,11 +80,6 @@ def test_restore_replay_presets(name):
 @pytest.mark.parametrize("seed", range(24))
 def test_restore_replay_random_small(seed):
     check_program(benchgen.generate(benchgen.random_small_shape(seed)))
-
-
-def op(oid, opcode, inputs, output, start, end):
-    return Operation(id=oid, opcode=opcode, inputs=tuple(inputs), output=output,
-                     start=start, end=end)
 
 
 # Hand-built bodies with known in-flight multi-cycle operations, and the

@@ -10,56 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from dftsim import benchgen, powersim, tracker as trk, transform
 from dftsim.program import (
     FunctionSchedule,
-    Operation,
     ProgramError,
     Region,
     ScheduledProgram,
     execute_reference,
     validate,
 )
+from programs import fn, fork_join_program, op, two_chain_program
 
 POLICIES = [powersim.Policy(name) for name in powersim.POLICY_NAMES]
-
-
-def op(oid, opcode, inputs, output, start, end, value=0):
-    return Operation(id=oid, opcode=opcode, inputs=tuple(inputs), output=output,
-                     start=start, end=end, value=value)
-
-
-def fn(fid, kind, iterations, length, ops, live_in, results):
-    region = Region(kind=kind, iterations=iterations, body_length=length,
-                    live_in=tuple(live_in), ops=tuple(ops))
-    return FunctionSchedule(id=fid, regions=(region,), result_regs=frozenset(results))
-
-
-def fork_join_program():
-    """A -> {B, C} -> D: B and C run at once, for different lengths, and D
-    reads the results of both."""
-    a = fn("A", "loop", 2, 4,
-           [op("a0", "add", ["x", "y"], "a1", 0, 1),
-            op("a1", "mul", ["a1", "x"], "a2", 2, 2),
-            op("a2", "add", ["aacc", "a2"], "aacc", 3, 3)],
-           ["x", "y", "aacc"], ["a1", "aacc"])
-    b = fn("B", "loop", 3, 5,
-           [op("b0", "xor", ["a1", "bacc"], "b1", 0, 2),
-            op("b1", "sub", ["b1", "a1"], "b2", 3, 3),
-            op("b2", "add", ["bacc", "b2"], "bacc", 4, 4)],
-           ["a1", "bacc"], ["bacc", "b2"])
-    c = fn("C", "straight", 1, 9,
-           [op("c0", "mul", ["aacc", "aacc"], "c1", 0, 3),
-            op("c1", "const", [], "c2", 2, 2, value=0x9E3779B9),
-            op("c2", "add", ["c1", "c2"], "c3", 4, 7),
-            op("c3", "sub", ["c3", "aacc"], "c4", 8, 8)],
-           ["aacc"], ["c4"])
-    d = fn("D", "loop", 2, 4,
-           [op("d0", "add", ["bacc", "c4"], "d1", 0, 0),
-            op("d1", "xor", ["d1", "b2"], "d2", 1, 2),
-            op("d2", "add", ["dacc", "d2"], "dacc", 3, 3)],
-           ["bacc", "c4", "b2", "dacc"], ["dacc", "d2"])
-    return ScheduledProgram(
-        functions=(a, b, c, d),
-        dependencies=(("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")),
-        default_inputs={"x": 0xDEAD, "y": 0xBEEF, "aacc": 3, "bacc": 5, "dacc": 7})
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +70,6 @@ def test_fork_join_multi_outage(fork_join, policy, k, seed):
 def test_wall_from_every_start_state_without_outages(program, policy):
     # a k=0 run from any state of the uninterrupted run steps the rest of
     # it: its wall clock ends at the makespan
-    from test_golden import two_chain_program
-
     prep = powersim.prepare(fork_join_program() if program == "fork-join"
                             else transform.normalize(two_chain_program()))
     trace = powersim.gen_trace(prep.total_cycles, 0, 0)
@@ -223,6 +180,23 @@ def test_corrupt_status_raises_on_a_repeated_key(fork_join, monkeypatch):
     with pytest.raises(ControlUnitError, match="corrupt status 5 for A"):
         powersim.run(fork_join.program, POLICIES[0], trace, prepared=fork_join)
     assert len(seen) == 5
+
+
+def test_fullchip_rejects_a_status_past_the_body(fork_join, monkeypatch):
+    # fullchip reads no address table, so only the roll-back's own range
+    # check stands between a corrupt status and a wrong resume point; at
+    # point 2 only A runs, at status 2 of its 4-cycle body
+    boundary_status = trk.TrackerState.boundary_status
+
+    def corrupting(tracker):
+        status = boundary_status(tracker)
+        return tracker.spec.body_length + 1 if status else status
+
+    monkeypatch.setattr(trk.TrackerState, "boundary_status", corrupting)
+    trace = powersim.PowerTrace(points=(2,), seed=0, total_cycles=fork_join.total_cycles)
+    with pytest.raises(trk.StatusCorruptionError, match="status 5 of A exceeds body length 4"):
+        powersim.run(fork_join.program, powersim.Policy(powersim.FULLCHIP), trace,
+                     prepared=fork_join)
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)

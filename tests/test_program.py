@@ -10,7 +10,6 @@ import pytest
 from dftsim import benchgen
 from dftsim.program import (
     FunctionSchedule,
-    Operation,
     ParseError,
     Region,
     SCHEMA_KEYWORDS,
@@ -22,17 +21,7 @@ from dftsim.program import (
     serialize_program,
     validate,
 )
-
-
-def op(oid, opcode, inputs, output, start, end, value=0):
-    return Operation(id=oid, opcode=opcode, inputs=tuple(inputs), output=output,
-                     start=start, end=end, value=value)
-
-
-def straight(ops, length, live_in=(), widths=None):
-    return Region(kind="straight", iterations=1, body_length=length,
-                  live_in=tuple(live_in), ops=tuple(ops),
-                  reg_widths=widths or {})
+from programs import op, straight
 
 
 def one_fn_program(region, fid="f1", results=(), inputs=None):

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dftsim import benchgen, powersim, tracker as trk, transform
-from test_golden import two_chain_program
-from test_powersim import fork_join_program
+from programs import fork_join_program, two_chain_program
 
 POLICIES = [powersim.Policy(name) for name in powersim.POLICY_NAMES]
 SEEDS = range(20)

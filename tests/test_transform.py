@@ -8,29 +8,13 @@ from hypothesis import given, settings, strategies as st
 from dftsim import powersim
 from dftsim.program import (
     FunctionSchedule,
-    Operation,
-    Region,
     ScheduledProgram,
     execute_reference,
     parse_program,
     validate,
 )
 from dftsim.transform import SplitError, merge, normalize, split
-
-
-def op(oid, opcode, inputs, output, start, end, value=0):
-    return Operation(id=oid, opcode=opcode, inputs=tuple(inputs), output=output,
-                     start=start, end=end, value=value)
-
-
-def loop(ops, length, iters, live_in=()):
-    return Region(kind="loop", iterations=iters, body_length=length,
-                  live_in=tuple(live_in), ops=tuple(ops))
-
-
-def straight(ops, length, live_in=()):
-    return Region(kind="straight", iterations=1, body_length=length,
-                  live_in=tuple(live_in), ops=tuple(ops))
+from programs import loop, op, straight
 
 
 def two_loop_function():
