@@ -16,7 +16,9 @@ Exit codes: 0 success, 2 validation or usage error (argparse also exits 2
 for a value it rejects, such as ``--ffs-per-slice 4``), 3
 crash-consistency violation, 4 configuration error (including an
 ``--out`` that names a file or a path under one). Output directory
-defaults to $DFTSIM_OUT or cwd.
+defaults to $DFTSIM_OUT or cwd. It is created only once the program is
+read, validated and prepared, so a run that exits 2 or 4 leaves no new
+directory.
 
 ``compare`` writes three CSV files. In ``rollback.csv`` and
 ``ffstores.csv`` each row is one (benchmark, policy, k) cell, in the
@@ -127,6 +129,8 @@ def _load_program(source: str):
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made if missing; each command calls this
+    just before its first write."""
     path = Path(args.out or os.environ.get("DFTSIM_OUT") or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -151,7 +155,6 @@ def _check_outages(name: str, k: int, prep) -> None:
 
 
 def cmd_analyze(args) -> int:
-    out = _out_dir(args)
     name, source = _one_source(args)
     program = _load_program(source)
     problems = validate(program)
@@ -165,6 +168,7 @@ def cmd_analyze(args) -> int:
     prep = powersim.prepare(program, config)
     table_blob = serialize_table(prep.table)   # may not fit: fail before any write
 
+    out = _out_dir(args)
     (out / f"{name}.normalized.json").write_text(serialize_program(program))
     trackers = {
         fid: {"width": s.width, "iterations": s.iterations,
@@ -212,7 +216,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     name, source = _one_source(args)
     lo, hi = _parse_outages(args.outages)
     if lo != hi:
@@ -236,7 +239,7 @@ def cmd_simulate(args) -> int:
         "consistent": report.consistent,
         "final_state": report.final_state,
     }
-    path = out / f"{name}.{report.policy}.k{lo}.report.json"
+    path = _out_dir(args) / f"{name}.{report.policy}.k{lo}.report.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"{name}/{report.policy}/k={lo}: rollback={report.total_rollback} "
           f"ff_stores={report.ff_stores} consistent={report.consistent}")
@@ -262,7 +265,6 @@ def _run_cell(job) -> Tuple[Tuple[float, float], Tuple[float, float]]:
 
 
 def cmd_compare(args) -> int:
-    out = _out_dir(args)
     sources = _load_sources(args)
     policies = args.policy or list(powersim.POLICY_NAMES)
     lo, hi = _parse_outages(args.outages)
@@ -275,6 +277,7 @@ def cmd_compare(args) -> int:
     _worker_prep.cache_clear()    # read each program file again
     for name, source in sources:
         _check_outages(name, hi, _worker_prep(source, grid, args.ffs_per_slice)[1])
+    out = _out_dir(args)          # before the cells run, so a bad --out fails fast
 
     jobs = [(name, source, pol, k, args.rounds, args.seed, grid, args.ffs_per_slice)
             for name, source in sources for pol in policies for k in ks]

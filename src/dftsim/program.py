@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -445,6 +446,9 @@ def validate(program: ScheduledProgram) -> List[Violation]:
                                          f"{prev[0]}/{prev[1]}"))
                 writers.setdefault(op.output, (f.id, op.id))
             for reg, w in region.reg_widths.items():
+                if not 1 <= w <= 32:
+                    out.append(Violation("bad-width", f"{f.id}/{reg}",
+                                         f"declared width {w} outside [1, 32]"))
                 prevw = widths.get(reg)
                 if prevw is not None and prevw[1] != w:
                     out.append(Violation("width-conflict", reg,
@@ -483,41 +487,73 @@ def validate(program: ScheduledProgram) -> List[Violation]:
 # Reference execution
 # ---------------------------------------------------------------------------
 
+# Value of a step from its two input values; ``pass`` reads one input, so
+# its step names that register twice. ``add``, ``sub`` and ``mul`` may
+# leave 32 bits, so their masks are cut to 32 bits too.
+_STEP_FN = {"pass": lambda a, b: a, "add": operator.add, "sub": operator.sub,
+            "mul": operator.mul, "xor": operator.xor}
+_WRAPPING = frozenset(("add", "sub", "mul"))
+
+
 def _interp_region(region: Region, regs: Dict[str, int], widths: Mapping[str, int]) -> None:
-    """Dict-based region interpreter: the reference evaluator."""
+    """Dict-based region interpreter: the reference evaluator.
+
+    Ops latching at the end of the same body cycle form a latch group, and
+    every op of a group reads the values from before the group latches.
+    Each call decodes the region once into the steps of one iteration, in
+    cycle order. An op becomes ``(output, fn, a, b, mask)`` and latches
+    ``fn(regs[a], regs[b]) & mask``; a ``const`` has ``fn`` None and
+    latches ``mask``, which holds its masked immediate. A group in which
+    no op reads another member's output, and no register is written twice,
+    becomes its ops' steps, latched one after another; any other group
+    stays one step, ``(None, None, its ops' steps, None, None)``, that
+    computes every value before it writes any. Ops that end outside the
+    body never latch.
+    Steps are plain tuples of register ids, ``operator`` functions and
+    masks: nothing here is generated or shared with ``engine``, so the
+    engine stays under test wherever it is checked against this function.
+    """
     for reg in region.live_in:
         if reg not in regs:
             if reg in region.written_regs():
                 raise UnboundLiveInError(
                     f"loop-carried register {reg} has no initial value")
             raise UnboundLiveInError(f"live-in register {reg} is unbound")
-    by_end: Dict[int, List[Operation]] = {}
+    L = region.body_length
+    groups: Dict[int, List[tuple]] = {}
     for op in region.ops:
-        by_end.setdefault(op.end, []).append(op)
-    for _ in range(region.iterations):
-        for c in range(region.body_length):
-            group = by_end.get(c)
-            if not group:
+        if not 0 <= op.end < L:
+            continue
+        out, code = op.output, op.opcode
+        mask = (1 << widths.get(out, 32)) - 1
+        if code == "const":
+            step = (out, None, None, None, op.value & mask)
+        else:
+            a = op.inputs[0]
+            step = (out, _STEP_FN[code], a, a if code == "pass" else op.inputs[1],
+                    mask & U32 if code in _WRAPPING else mask)
+        groups.setdefault(op.end, []).append(step)
+    steps: List[tuple] = []
+    for c in sorted(groups):
+        group = groups[c]
+        if len(group) > 1:
+            outs = {step[0] for step in group}
+            if len(outs) < len(group) or any(
+                    reg in outs and reg != out for out, _, a, b, _ in group for reg in (a, b)):
+                steps.append((None, None, group, None, None))
                 continue
-            latched = []
-            for op in group:
-                if op.opcode == "const":
-                    v = op.value
-                elif op.opcode == "pass":
-                    v = regs[op.inputs[0]]
-                else:
-                    a, b = regs[op.inputs[0]], regs[op.inputs[1]]
-                    if op.opcode == "add":
-                        v = (a + b) & U32
-                    elif op.opcode == "sub":
-                        v = (a - b) & U32
-                    elif op.opcode == "mul":
-                        v = (a * b) & U32
-                    else:
-                        v = a ^ b
-                latched.append((op.output, v & ((1 << widths.get(op.output, 32)) - 1)))
-            for reg, v in latched:
-                regs[reg] = v
+        steps += group
+    for _ in range(region.iterations):
+        for out, fn, a, b, m in steps:
+            if fn is not None:
+                regs[out] = fn(regs[a], regs[b]) & m
+            elif out is not None:
+                regs[out] = m
+            else:    # a group latched as one step
+                latched = [(o, v if f is None else f(regs[x], regs[y]) & v)
+                           for o, f, x, y, v in a]
+                for o, v in latched:
+                    regs[o] = v
 
 
 def _widths_map(program: ScheduledProgram) -> Dict[str, int]:
@@ -601,11 +637,15 @@ def execute_reference(program: ScheduledProgram) -> Dict[str, int]:
     Returns the FinalState: values of all result registers. Deterministic
     for a fixed program; its ``default_inputs`` bind the inputs. Raw and
     normalized programs alike are stepped by the dict interpreter
-    ``_interp_region``, which shares no code with the generated engine, so
-    every consistency check of a simulated run also tests the engine, and
+    ``_interp_region``. It decodes each region once per call into
+    ``(output, fn, a, b, mask)`` steps of plain ``operator`` functions, and
+    latches a group whose ops read each other's outputs as one step. It
+    generates no code and shares none with the engine, so every
+    consistency check of a simulated run also tests the engine, and
     transform equivalence tests compare the programs before and after a
-    rewrite. Bound inputs are masked to their declared widths, as
-    ``CompiledProgram.new_regfile`` does.
+    rewrite. ``tests/oracle.py::reference_region``, which decodes every op
+    at every latch, is its literal definition. Bound inputs are masked to
+    their declared widths, as ``CompiledProgram.new_regfile`` does.
     """
     widths = _widths_map(program)
     regs = {reg: v & ((1 << widths.get(reg, 32)) - 1)

@@ -291,7 +291,7 @@ def test_a_table_too_large_for_its_binary_form_exits_validation(tmp_path, capsys
     assert code == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == ("address table too large for its binary form: "
                                        "row 563 has pool start 65585, above 65535\n")
-    assert not list(out.iterdir())
+    assert not out.exists()
     code = cli.main(["simulate", "--program", str(path), "--out", str(out)])
     assert code == cli.EXIT_OK
 
@@ -317,3 +317,21 @@ def test_an_out_that_is_not_a_directory_exits_config(command, under, reason, tmp
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"cannot use output directory {out}: {reason}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["analyze", "--program", "{bad}"], cli.EXIT_VALIDATION),
+    (["simulate", "--program", "{bad}"], cli.EXIT_VALIDATION),
+    (["compare", "--program", "{bad}"], cli.EXIT_VALIDATION),
+    (["simulate", "--preset", "global", "--outages", "100"], cli.EXIT_CONFIG),
+    (["compare", "--preset", "global", "--outages", "0..100"], cli.EXIT_CONFIG),
+    (["compare", "--preset", "global", "--program", "{bad}"], cli.EXIT_VALIDATION),
+], ids=("analyze-parse", "simulate-parse", "compare-parse", "simulate-outages",
+        "compare-outages", "compare-second-source"))
+def test_a_failing_command_makes_no_out_directory(argv, code, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"functions": 3}))
+    out = tmp_path / "new" / "out"
+    argv = [str(bad) if a == "{bad}" else a for a in argv]
+    assert cli.main(argv + ["--out", str(out)]) == code
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]

@@ -3,25 +3,31 @@
 import copy
 import json
 import random
+import re
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dftsim import benchgen
+from dftsim import benchgen, powersim
 from dftsim.program import (
     FunctionSchedule,
     ParseError,
+    ProgramError,
     Region,
     SCHEMA_KEYWORDS,
     ScheduledProgram,
     UnboundLiveInError,
     _TYPES,
+    _interp_region,
+    _widths_map,
     execute_reference,
     parse_program,
     serialize_program,
     validate,
 )
-from programs import op, straight
+from oracle import reference_region
+from programs import op, straight, two_chain_program
 
 
 def one_fn_program(region, fid="f1", results=(), inputs=None):
@@ -261,6 +267,20 @@ def test_live_in_from_non_predecessor_rejected():
     assert validate(with_edge) == []
 
 
+@pytest.mark.parametrize("width", [40, 0])
+def test_width_outside_1_to_32_rejected(width):
+    # the schema bounds widths in a document; a program built in code is
+    # held to the same range, or the reference and the engine would mask a
+    # 40-bit add differently
+    r = straight([op("o1", "add", ["a", "a"], "y", 0, 0)], 1, live_in=["a"],
+                 widths={"y": width})
+    program = one_fn_program(r, results=["y"], inputs={"a": 0xFFFFFFFF})
+    message = f"bad-width [f1/y]: declared width {width} outside [1, 32]"
+    assert [str(v) for v in validate(program)] == [message]
+    with pytest.raises(ProgramError, match=re.escape(message)):
+        powersim.prepare(program)
+
+
 # --- reference execution --------------------------------------------------
 
 def test_pass_copies_input():
@@ -333,3 +353,81 @@ def test_engine_matches_dict_interpreter():
         idx = compiled.reg_index
         engine = {reg: int(regfile[idx[reg]]) for reg in sorted(program.all_result_regs())}
         assert execute_reference(program) == engine
+
+
+# --- the interpreter against its literal definition -----------------------
+
+def assert_interpreters_agree(region, regs, widths):
+    want, got = dict(regs), dict(regs)
+    reference_region(region, want, widths)
+    _interp_region(region, got, widths)
+    assert got == want
+
+
+def test_interpreter_matches_its_definition_on_every_program_region():
+    programs = [benchgen.preset_program(name) for name in benchgen.PRESETS]
+    programs += [benchgen.generate(benchgen.random_small_shape(s)) for s in range(12)]
+    programs.append(two_chain_program())
+    rng = random.Random(0)
+    for program in programs:
+        widths = _widths_map(program)
+        regs = dict(program.default_inputs)
+        for fid in program.topo_order():
+            for region in program.function(fid).regions:
+                # from the uninterrupted state, then from random values
+                assert_interpreters_agree(region, regs, widths)
+                noise = {reg: rng.getrandbits(32) for reg in
+                         {*region.live_in, *region.written_regs()}}
+                assert_interpreters_agree(region, noise, widths)
+                reference_region(region, regs, widths)
+
+
+REGS = ("x", "y", "z", "w")
+
+
+@st.composite
+def latch_group_regions(draw):
+    """Loop regions over four registers, so that latch groups often read
+    each other's and their own outputs (swaps, rotations), with widths
+    from 0 to 40 bits, consts wider than their widths and ``sub`` wrapping
+    below zero. Some ops end outside the body; some groups write one
+    register twice."""
+    length = draw(st.integers(1, 3))
+    ops = []
+    for i in range(draw(st.integers(1, 7))):
+        opcode = draw(st.sampled_from(("const", "pass", "add", "sub", "mul", "xor")))
+        arity = {"const": 0, "pass": 1}.get(opcode, 2)
+        inputs = draw(st.lists(st.sampled_from(REGS), min_size=arity, max_size=arity))
+        end = draw(st.integers(0, length))
+        ops.append(op(f"o{i}", opcode, inputs, draw(st.sampled_from(REGS)), end, end,
+                      value=draw(st.integers(0, 2**36))))
+    widths = draw(st.dictionaries(st.sampled_from(REGS), st.integers(0, 40)))
+    region = Region(kind="loop", iterations=draw(st.integers(1, 4)), body_length=length,
+                    live_in=REGS, ops=tuple(ops), reg_widths=widths)
+    regs = {reg: draw(st.integers(0, 2**32 - 1)) for reg in REGS}
+    return region, regs
+
+
+def latch_group_example(ops, widths=None):
+    region = Region(kind="loop", iterations=3, body_length=1, live_in=REGS,
+                    ops=tuple(ops), reg_widths=widths or {})
+    return region, dict(zip(REGS, (1, 2, 3, 0xFFFFFFFF)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(latch_group_regions())
+# x, y and z rotate while w reads two of them; a 40-bit add still wraps at
+# 32 bits; one group writes x twice, reading the old x; an op that ends
+# past the body never latches
+@example(latch_group_example([op("rx", "pass", ["y"], "x", 0, 0),
+                              op("ry", "pass", ["z"], "y", 0, 0),
+                              op("rz", "pass", ["x"], "z", 0, 0),
+                              op("w", "sub", ["x", "y"], "w", 0, 0)]))
+@example(latch_group_example([op("a", "add", ["w", "w"], "y", 0, 0)], {"y": 40}))
+@example(latch_group_example([op("c", "const", [], "x", 0, 0, value=3),
+                              op("d", "add", ["x", "x"], "x", 0, 0)]))
+@example(latch_group_example([op("p", "pass", ["x"], "y", 0, 0),
+                              op("c", "const", [], "z", 1, 1)]))
+def test_interpreter_matches_its_definition_on_latch_groups(case):
+    region, regs = case
+    assert_interpreters_agree(region, regs, region.reg_widths)
