@@ -4,6 +4,8 @@
 sets, placement, address table) and writes its artifacts. ``simulate``
 performs one intermittent run and serializes the report. ``compare``
 sweeps outage counts over seeded Monte Carlo rounds and emits CSV grids.
+Every command normalizes its program and validates the normalized
+program (in ``powersim.prepare``), so all three accept the same programs.
 
 Every command takes ``--program`` or ``--preset`` (``compare`` several,
 the others exactly one), ``--grid``, ``--ffs-per-slice`` and ``--out``.
@@ -56,7 +58,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import benchgen, placement, powersim, transform
 from .control_unit import serialize_table
 from .liveness import TRACKED
-from .program import ParseError, ProgramError, parse_program, serialize_program, validate
+from .program import ParseError, ProgramError, parse_program, serialize_program
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -156,16 +158,7 @@ def _check_outages(name: str, k: int, prep) -> None:
 
 def cmd_analyze(args) -> int:
     name, source = _one_source(args)
-    program = _load_program(source)
-    problems = validate(program)
-    if problems:
-        for p in problems:
-            print(str(p), file=sys.stderr)
-        return EXIT_VALIDATION
-    program = transform.normalize(program)
-    config = powersim.SimConfig(ffs_per_slice=args.ffs_per_slice,
-                                grid=_parse_grid(args.grid))
-    prep = powersim.prepare(program, config)
+    program, prep = _prepare_source(source, _parse_grid(args.grid), args.ffs_per_slice)
     table_blob = serialize_table(prep.table)   # may not fit: fail before any write
 
     out = _out_dir(args)

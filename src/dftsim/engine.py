@@ -13,9 +13,10 @@ whole iterations between them.
 The generated source numbers a region's registers by local slot, so it
 names no register index: a kernel is generated and compiled once per
 distinct body in a process, and on a region's first run it is bound to
-the region's register indices, which replace placeholder constants in a
-copy of its code object. Regions that repeat a body at other registers,
-such as a chain inside a larger program, share one compiled kernel.
+the region's register indices: its compiled code runs in a namespace
+that holds them, and defines a ``span`` that reads them from there.
+Regions that repeat a body at other registers, such as a chain inside a
+larger program, share one compiled kernel.
 tests/test_kernel.py checks every kind of span against the dict
 interpreter ``program._interp_region``.
 """
@@ -23,7 +24,6 @@ interpreter ``program._interp_region``.
 from __future__ import annotations
 
 from functools import lru_cache
-from types import FunctionType
 from typing import Dict, Iterable, List, Mapping
 
 KERNEL_NAME = "python"
@@ -72,10 +72,10 @@ class CompiledRegion:
         """Return ``span(regs, lo, hi)`` bound to this region's registers.
 
         Registers are numbered by local slot in order of first use, and the
-        source loads and writes back ``regs['iK']``, where the string ``iK``
-        stands for the register index of slot K. Regions with the same body
-        thus have the same source, compiled once; binding a region puts its
-        indices in place of those constants in a copy of the code object.
+        source loads and writes back ``regs[iK]``, where the global ``iK``
+        holds the register index of slot K. Regions with the same body thus
+        have the same source, compiled once; binding a region runs that code
+        in a namespace that maps each ``iK`` to its index.
         Each cycle's latch group becomes one tuple assignment, so every
         right-hand side reads the pre-edge values. A span that starts
         mid-iteration, or ends within its first iteration, runs the
@@ -106,7 +106,7 @@ class CompiledRegion:
         # A guarded span may skip a register's writer, so every register
         # written back is loaded first.
         lines = ["def span(regs, lo, hi):"]
-        lines += [f"    r{s} = regs['i{s}']" for s in range(len(slot))]
+        lines += [f"    r{s} = regs[i{s}]" for s in range(len(slot))]
         lines += ["    while True:",
                   f"        if lo or hi < {L}:",
                   f"            e = hi if hi < {L} else {L}"]
@@ -124,31 +124,20 @@ class CompiledRegion:
         lines += [f"        hi %= {L}",
                   "        if not hi:",
                   "            break"]
-        lines += [f"    regs['i{s}'] = r{s}" for s in sorted(written)]
-        span, slot_of = _compile("\n".join(lines))
-        index = [self._reg_index[r] for r in slot]
-        code = span.__code__
-        consts = tuple(k if s is None else index[s] for k, s in zip(code.co_consts, slot_of))
-        return FunctionType(code.replace(co_consts=consts), span.__globals__)
+        lines += [f"    regs[i{s}] = r{s}" for s in sorted(written)]
+        namespace = {f"i{s}": self._reg_index[r] for r, s in slot.items()}
+        exec(_compile("\n".join(lines)), namespace)
+        return namespace["span"]
 
 
 # A body recurs within a few programs (a chain, then a larger program
 # that holds it), so a small bound keeps every reuse.
 @lru_cache(maxsize=128)
 def _compile(source: str):
-    """Compile a kernel's source once per text.
-
-    Returns its ``span`` function and, for each constant of the function's
-    code, the slot whose placeholder it is, or None; the placeholders are
-    the only string constants. The text holds every mask, constant,
-    opcode, cycle and body length of a kernel, so equal texts are equal
-    kernels.
-    """
-    namespace: Dict[str, object] = {}
-    exec(source, namespace)
-    span = namespace["span"]
-    return span, tuple(int(k[1:]) if isinstance(k, str) else None
-                       for k in span.__code__.co_consts)
+    """Compile a kernel's source once per text. The text holds every mask,
+    constant, opcode, cycle and body length of a kernel, so equal texts
+    are equal kernels."""
+    return compile(source, "<kernel>", "exec")
 
 
 class CompiledProgram:

@@ -3,9 +3,14 @@
 Trackers follow one region per function, so before mapping a program every
 function must carry exactly one trackable region and no operations may
 float loose under the main sequence. ``split`` breaks a multi-region
-function into a chain of single-region fragments, threading cross-fragment
-values through result/live-in registers; ``merge`` wraps contiguous runs
-of loose main-level operations into new straight-line functions.
+function into a chain of single-region fragments; ``merge`` wraps
+contiguous runs of loose main-level operations into new straight-line
+functions. Both move a value between functions by one rule, ``_link``: a
+function that reads a register written by one of its ancestors depends on
+that writer directly, and the writer returns the register, as Chain's
+channels carry data straight from the task that writes it to the task that
+reads it. A program input has no writer and a loop-carried register is
+written by its reader, so neither is linked.
 
 Both transformations preserve reference-execution results on all original
 result registers; ``normalize`` composes them and is idempotent.
@@ -14,7 +19,7 @@ result registers; ``normalize`` composes them and is idempotent.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Set, Tuple
 
 from .program import (
     STRAIGHT,
@@ -30,74 +35,72 @@ class SplitError(ProgramError):
     pass
 
 
-def split(function: FunctionSchedule, program_writes: frozenset) -> List[FunctionSchedule]:
+def _check_fresh(fid: str, origin: str, taken: AbstractSet[str]) -> None:
+    """Reject a generated function id that a function of the input has."""
+    if fid in taken:
+        raise ProgramError(f"function id {fid}, made from {origin}, is already taken")
+
+
+def _link(functions: Iterable[FunctionSchedule],
+          deps: Set[Tuple[str, str]]) -> Tuple[FunctionSchedule, ...]:
+    """Give each read of a register that an ancestor in ``deps`` writes a
+    direct edge (writer, reader) in ``deps``, and make the writer return it."""
+    functions = tuple(functions)
+    writer = {op.output: f.id for f in functions for region in f.regions for op in region.ops}
+    preds: Dict[str, Set[str]] = {f.id: set() for f in functions}
+    for a, b in deps:
+        preds[b].add(a)
+
+    def ancestors(fid: str) -> Set[str]:
+        seen, todo = set(), set(preds[fid])
+        while todo:
+            p = todo.pop()
+            seen.add(p)
+            todo |= preds[p] - seen
+        return seen
+
+    results = {f.id: f.result_regs for f in functions}
+    for f in functions:
+        for region in f.regions:
+            for reg in region.live_in:
+                src = writer.get(reg, f.id)
+                if src != f.id and ((src, f.id) in deps or src in ancestors(f.id)):
+                    deps.add((src, f.id))
+                    if reg not in results[src]:
+                        results[src] = results[src] | {reg}
+    return tuple(f if results[f.id] is f.result_regs else replace(f, result_regs=results[f.id])
+                 for f in functions)
+
+
+def split(function: FunctionSchedule) -> List[FunctionSchedule]:
     """Split a function into one single-region fragment per region.
 
-    Fragments keep source order and are meant to be chained sequentially
-    by the caller. Two kinds of register cross a fragment boundary, each
-    threaded through fragment result and live-in registers: values written
-    by an earlier fragment, and predecessor results that no region of the
-    function writes, carried from the first fragment to the one that
-    reads them.
-
-    A register outside ``program_writes``, the registers the program
-    writes, is a program input and is never threaded: a fragment that
-    reads it binds it from the non-volatile input buffer, which
-    ``powersim`` reloads after an outage, and a result that is a program
-    input is a live-in and a result of the last fragment only. Nor is a
-    register threaded that a later fragment both reads first and updates:
-    under the single-writer rule its pre-run value can only be an input.
+    Fragments keep source order, for the caller to chain and ``_link``.
+    Each returns the function's results that its region writes; the last
+    also reads and returns every result that no region writes. A region
+    that reads what only a later region writes raises ``SplitError``.
     """
     regions = function.regions
     if len(regions) == 1:
         return [function]
 
-    n = len(regions)
-    writer_region: Dict[str, int] = {}
-    for i, region in enumerate(regions):
-        for op in region.ops:
-            writer_region[op.output] = i
-    written = [set(r.written_regs()) for r in regions]
-
-    # flow[b]: registers that must cross the boundary ahead of fragment b
-    flow: List[Set[str]] = [set() for _ in range(n)]
+    writer_region = {op.output: i for i, region in enumerate(regions) for op in region.ops}
     for k, region in enumerate(regions):
         for reg in region.live_in:
-            w = writer_region.get(reg)
-            if w == k or reg not in program_writes:
-                continue
-            if w is not None and w > k:
+            w = writer_region.get(reg, k)
+            if w > k:
                 raise SplitError(
                     f"split dataflow break: {function.id} region {k} reads {reg} "
                     f"written only by later region {w}")
-            for b in range(1 if w is None else w + 1, k + 1):
-                flow[b].add(reg)
 
-    # results that no region of the function writes: predecessor results
-    # ride the whole chain, program inputs join the last fragment
-    passthrough = (function.result_regs & program_writes).difference(writer_region)
-    inputs = function.result_regs - program_writes
-    for b in range(1, n):
-        flow[b] |= passthrough
-
+    carried = function.result_regs.difference(writer_region)
     fragments: List[FunctionSchedule] = []
     for j, region in enumerate(regions):
-        live = set(region.live_in)
-        if j == 0:
-            live |= {reg for reg in flow[1] if reg not in written[0]}
-            live |= passthrough
-        else:
-            live |= flow[j]
-        results = set(function.result_regs) & written[j]
-        if j < n - 1:
-            results |= flow[j + 1]
-        else:
-            live |= inputs
-            results |= passthrough | inputs
+        extra = carried if j == len(regions) - 1 else frozenset()
         fragments.append(FunctionSchedule(
             id=f"{function.id}__s{j}",
-            regions=(replace(region, live_in=tuple(sorted(live))),),
-            result_regs=frozenset(results)))
+            regions=(replace(region, live_in=tuple(sorted(extra.union(region.live_in)))),),
+            result_regs=(function.result_regs & set(region.written_regs())) | extra))
     return fragments
 
 
@@ -105,26 +108,24 @@ def merge(program: ScheduledProgram) -> ScheduledProgram:
     """Wrap loose main-level operations into straight-line functions.
 
     Each contiguous run of ops between calls becomes a new function placed
-    at its position in the main chain; the main sequence itself induces
-    sequential dependencies between consecutive items. Data edges from
-    earlier producers are added explicitly, and every register that a chain
-    item reads from another chain item's writer becomes a result of that
-    writer.
+    at its position in the main chain. Consecutive chain items depend on
+    each other, so ``_link`` gives an item that reads an earlier item's
+    write a direct edge from that writer, which returns the register.
     """
     if not program.main_sequence:
         return program
 
+    taken = {f.id for f in program.functions}
     chain: List[str] = []          # item ids in main order
     new_functions: List[FunctionSchedule] = []
     run: List[Operation] = []
-    run_index = 0
 
     def flush_run() -> None:
-        nonlocal run, run_index
+        nonlocal run
         if not run:
             return
-        fid = f"main__m{run_index}"
-        run_index += 1
+        fid = f"main__m{len(new_functions)}"
+        _check_fresh(fid, "loose main-sequence ops", taken)
         outputs = {op.output for op in run}
         live = tuple(sorted({r for op in run for r in op.inputs} - outputs))
         region = Region(kind=STRAIGHT, iterations=1,
@@ -143,62 +144,28 @@ def merge(program: ScheduledProgram) -> ScheduledProgram:
             chain.append(item)
     flush_run()
 
-    all_functions: Dict[str, FunctionSchedule] = {
-        f.id: f for f in (*program.functions, *new_functions)}
-
-    deps: Set[Tuple[str, str]] = set(program.dependencies)
-    for a, b in zip(chain, chain[1:]):
-        deps.add((a, b))
-
-    # direct data edges for live-ins produced before the immediate pred
-    writer_fn: Dict[str, str] = {}
-    for fid in chain:
-        for region in all_functions[fid].regions:
-            for op in region.ops:
-                writer_fn[op.output] = fid
-    order = {fid: i for i, fid in enumerate(chain)}
-    for fid in chain:
-        f = all_functions[fid]
-        for region in f.regions:
-            for reg in region.live_in:
-                src = writer_fn.get(reg)
-                if src is None or src == fid:
-                    continue
-                if order[src] < order[fid]:
-                    deps.add((src, fid))
-                if reg not in all_functions[src].result_regs:
-                    src_f = all_functions[src]
-                    all_functions[src] = replace(
-                        src_f, result_regs=src_f.result_regs | {reg})
-
-    ordered = [all_functions[f.id] for f in program.functions]
-    ordered += [all_functions[f.id] for f in new_functions]
-    return replace(program,
-                   functions=tuple(ordered),
-                   dependencies=tuple(sorted(deps)),
+    deps = set(program.dependencies) | set(zip(chain, chain[1:]))
+    functions = _link((*program.functions, *new_functions), deps)
+    return replace(program, functions=functions, dependencies=tuple(sorted(deps)),
                    main_sequence=())
 
 
 def normalize(program: ScheduledProgram) -> ScheduledProgram:
-    """Merge then split until every function has exactly one region."""
+    """Merge, then split every function into a chain of fragments that
+    follows its predecessors and precedes its successors, and ``_link``
+    each value read across fragments. A fragment id that the merged
+    program already has is an error.
+    """
     merged = merge(program)
-    out_functions: List[FunctionSchedule] = []
+    parts = {f.id: split(f) for f in merged.functions}
     deps: Set[Tuple[str, str]] = set()
-    first: Dict[str, str] = {}
-    last: Dict[str, str] = {}
-    program_writes = frozenset(op.output for f in merged.functions
-                               for region in f.regions for op in region.ops)
-    for f in merged.functions:
-        parts = split(f, program_writes)
-        first[f.id] = parts[0].id
-        last[f.id] = parts[-1].id
-        out_functions.extend(parts)
-        for a, b in zip(parts, parts[1:]):
-            deps.add((a.id, b.id))
+    for fid, fragments in parts.items():
+        if len(fragments) > 1:
+            for j, g in enumerate(fragments):
+                _check_fresh(g.id, f"region {j} of {fid}", parts.keys())
+        deps.update((a.id, b.id) for a, b in zip(fragments, fragments[1:]))
     for pred, succ in merged.dependencies:
-        deps.add((last[pred], first[succ]))
+        deps.add((parts[pred][-1].id, parts[succ][0].id))
 
-    return replace(merged,
-                   functions=tuple(out_functions),
-                   dependencies=tuple(sorted(deps)),
-                   main_sequence=())
+    functions = _link((g for fragments in parts.values() for g in fragments), deps)
+    return replace(merged, functions=functions, dependencies=tuple(sorted(deps)))

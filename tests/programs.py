@@ -63,3 +63,18 @@ def two_chain_program():
     return ScheduledProgram(functions=a.functions + b.functions,
                             dependencies=a.dependencies + b.dependencies,
                             default_inputs={**a.default_inputs, **b.default_inputs})
+
+
+def make_main_program(head_ops=(), mid_ops=(), tail_ops=()):
+    f1 = FunctionSchedule(id="F1", regions=(straight(
+        [op("f1o", "add", ["x", "x"], "r1", 0, 0)], 1, live_in=["x"]),),
+        result_regs=frozenset(["r1"]))
+    f2 = FunctionSchedule(id="F2", regions=(straight(
+        [op("f2o", "add", ["r1", "m0"], "r2", 0, 0)], 1,
+        live_in=["r1", "m0"]),), result_regs=frozenset(["r2"]))
+    seq = [("op", o) for o in head_ops] + [("call", "F1")] \
+        + [("op", o) for o in mid_ops] + [("call", "F2")] \
+        + [("op", o) for o in tail_ops]
+    return ScheduledProgram(functions=(f1, f2), dependencies=(),
+                            main_sequence=tuple(seq),
+                            default_inputs={"x": 5, "m0": 0})

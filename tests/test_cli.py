@@ -13,6 +13,7 @@ from dftsim.program import (
     serialize_program,
     validate,
 )
+from programs import make_main_program
 
 
 def loop(oid, reg, iters):
@@ -85,6 +86,46 @@ def test_split_dataflow_break_exits_validation(tmp_path, capsys):
         assert "split dataflow break" in capsys.readouterr().err, command
 
 
+def const_fn(fid, *regs):
+    """A function of one straight region per register, each writing it."""
+    regions = tuple(Region(kind="straight", iterations=1, body_length=1,
+                           ops=(Operation(id=f"{fid}_{reg}", opcode="const", inputs=(),
+                                          output=reg, start=0, end=0, value=1),))
+                    for reg in regs)
+    return FunctionSchedule(id=fid, regions=regions, result_regs=frozenset(regs))
+
+
+@pytest.mark.parametrize("program,message", [
+    (ScheduledProgram(functions=(const_fn("F", "a", "b"), const_fn("F__s1", "c")),
+                      dependencies=()),
+     "function id F__s1, made from region 1 of F, is already taken"),
+    (ScheduledProgram(functions=(const_fn("main__m0", "c"),), dependencies=(),
+                      main_sequence=(("op", Operation(id="m", opcode="const", inputs=(),
+                                                      output="q", start=0, end=0)),
+                                     ("call", "main__m0"))),
+     "function id main__m0, made from loose main-sequence ops, is already taken"),
+], ids=("split-fragment", "main-run"))
+def test_a_generated_function_id_that_is_taken_exits_validation(program, message, tmp_path,
+                                                                 capsys):
+    path = tmp_path / "clash.json"
+    path.write_text(serialize_program(program))
+    for command, extra in (("analyze", []), ("simulate", []), ("compare", ["--rounds", "1"])):
+        code = cli.main([command, "--program", str(path), "--out", str(tmp_path), *extra])
+        assert code == cli.EXIT_VALIDATION, command
+        assert capsys.readouterr().err == message + "\n", command
+
+
+def test_analyze_accepts_a_read_through_the_main_sequence(tmp_path):
+    # F2 reads F1's result r1, and only the main sequence orders them: the
+    # raw program has no dependency, the normalized one has (F1, F2)
+    path = tmp_path / "main.json"
+    path.write_text(serialize_program(make_main_program()))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--program", str(path), "--out", str(out)]) == cli.EXIT_OK
+    normalized = json.loads((out / "main.normalized.json").read_text())
+    assert normalized["dependencies"] == [["F1", "F2"]]
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--outages", "100"],
                                   ["compare", "--outages", "0..100", "--rounds", "1"]],
                          ids=("simulate-100", "compare-0..100"))
@@ -105,13 +146,11 @@ def test_normalized_program_validated_once(command, two_loop_path, tmp_path, mon
         normalized.append(program.is_normalized)
         return validate(program)
 
-    monkeypatch.setattr(cli, "validate", counting)
     monkeypatch.setattr(powersim, "validate", counting)
     extra = ["--rounds", "1"] if command == "compare" else []
     code = cli.main([command, "--program", str(two_loop_path), "--out", str(tmp_path), *extra])
     assert code == cli.EXIT_OK
-    # analyze also validates the raw program, before normalizing it
-    assert normalized == ([False, True] if command == "analyze" else [True])
+    assert normalized == [True]
 
 
 @pytest.mark.parametrize("argv,message", [
