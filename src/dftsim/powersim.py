@@ -68,8 +68,11 @@ Policies:
   table's rows and the placement are SLICE masks (one bit per SLICE, see
   ``placement``), so the stored SLICEs are ``control_unit.lookup`` OR'd
   with the finished functions' result rows, the stored mask against each
-  placed register's mask gives the lost registers, and a repeated key
-  only copies ``Prepared.reload`` into those registers.
+  placed register's mask gives the lost registers. The first outage of
+  a key writes ``Prepared.reload`` into them; a repeat builds the key's
+  restore plan (``restore_plan``) once and then only applies it, which
+  for an outage that loses most registers means starting from a copy of
+  ``Prepared.reload`` and copying the few kept registers back.
 * ``cp``    - store each state's result registers to its dedicated BRAM at
   every state completion regardless of power; an outage discards the
   in-flight state entirely and resumes at the last completed boundary.
@@ -154,7 +157,7 @@ class SimConfig:
     grid: Tuple[int, int] = (100, 100)
 
 
-@dataclass
+@dataclass(slots=True)
 class OutageRecord:
     point: int
     rollback: int
@@ -191,8 +194,10 @@ class SimulationReport:
 class RunState:
     """The scheduler's state at an event of the uninterrupted run.
 
-    A run that starts here instead of at cycle 0 copies the registers;
-    trackers are immutable values, so it shares them.
+    A run that starts here instead of at cycle 0 works on its own copies
+    of the registers and of the tracker dict (a ``dft`` outage may even
+    replace its register list by a new one); it shares the trackers
+    themselves, which are immutable by contract.
     """
     position: int
     regs: Tuple[int, ...]
@@ -356,6 +361,35 @@ def store_set(prep: Prepared, statuses: Mapping[str, int],
             tuple([i for i, mask in prep.reg_slices if mask & gone]))
 
 
+def restore_plan(lost: Tuple[int, ...], n: int) -> Tuple[bool, Tuple[int, ...]]:
+    """How a ``dft`` outage that loses the registers ``lost`` of ``n``
+    puts them back (see ``apply_plan``): ``(False, lost)``, or, when it
+    loses more than half of them, ``(True, kept)`` with the indices of
+    the registers it keeps, which are fewer."""
+    if 2 * len(lost) <= n:
+        return False, lost
+    gone = set(lost)
+    return True, tuple([i for i in range(n) if i not in gone])
+
+
+def apply_plan(plan: Tuple[bool, Tuple[int, ...]], regs: List[int],
+               reload: Sequence[int]) -> List[int]:
+    """The register file after an outage with restore ``plan``: ``regs``
+    with ``reload`` written into each lost register, or for a plan of kept
+    registers, a copy of ``reload`` with their values copied back from
+    ``regs``, which is then not changed."""
+    keep, indices = plan
+    if keep:
+        old = regs
+        regs = list(reload)
+        for i in indices:
+            regs[i] = old[i]
+    else:
+        for i in indices:
+            regs[i] = reload[i]
+    return regs
+
+
 def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
              states: Optional[List[RunState]] = None) -> SimulationReport:
     """Run from ``state``, a state of the uninterrupted run at or before
@@ -381,10 +415,12 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     rollbacks: List[int] = []
     outages: List[OutageRecord] = []
     grid_slices = cfg.grid[0] * cfg.grid[1]
-    # dft: (FFs stored, SLICEs stored, lost register indices) per outage
-    # key, i.e. per (emitted statuses of the running trackers, finished
-    # functions); both sets change only at events, so keys repeat.
-    dft_stores: Dict[tuple, Tuple[int, int, Tuple[int, ...]]] = {}
+    # dft: [FFs stored, SLICEs stored, lost register indices, restore plan]
+    # per outage key, i.e. per (emitted statuses of the running trackers,
+    # finished functions); both sets change only at events, so keys
+    # repeat. The plan is built when its key repeats: a run with one
+    # outage per key, as in a single-outage sweep, would not recoup it.
+    dft_stores: Dict[tuple, list] = {}
     # Only a completion can let an idle tracker start, and only its
     # successors' head locks change then; a start waits for any outage
     # at the completion point to be handled first. The longest path of
@@ -451,21 +487,25 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
                 key = (tuple(emitted.items()), done)
                 hit = dft_stores.get(key)
                 if hit is None:
-                    hit = dft_stores[key] = store_set(prep, emitted, done)
-                ff_here, slices_here, lost = hit
-                for i in lost:
-                    regs[i] = reload[i]
+                    hit = dft_stores[key] = [*store_set(prep, emitted, done), None]
+                    plan = False, hit[2]
+                else:
+                    plan = hit[3]
+                    if plan is None:
+                        plan = hit[3] = restore_plan(hit[2], len(reload))
+                ff_here, slices_here = hit[0], hit[1]
+                regs = apply_plan(plan, regs, reload)
             else:  # fullchip
                 ff_here = grid_slices * cfg.ffs_per_slice
                 slices_here = grid_slices
             store_cost += slices_here
             running, rolled = trk.restore(running, boundary, prep.live_tables)
-            rollback = max(rolled.values(), default=0)
+            # max with a default is several times slower for one tracker
+            rollback = max(rolled.values()) if rolled else 0
         ff_stores += ff_here
         slice_events += slices_here
         rollbacks.append(rollback)
-        outages.append(OutageRecord(point=point, rollback=rollback,
-                                    ff_stored=ff_here, slices_stored=slices_here))
+        outages.append(OutageRecord(point, rollback, ff_here, slices_here))
         longest = 0     # the longest path of work still to do
         for fid, tr in running.items():
             path = tr.remaining + after[fid]

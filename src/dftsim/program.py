@@ -270,7 +270,8 @@ def parse_program(text: str) -> ScheduledProgram:
     and unknown fields come from walking ``schema/program.schema.json``;
     code checks only what the schema cannot say: duplicate function ids,
     straight regions with ``iterations != 1``, dangling function
-    references and dependency cycles. Deeper schedule invariants are left
+    references, a function called twice by the main sequence and
+    dependency cycles. Deeper schedule invariants are left
     to ``validate``.
     """
     try:
@@ -291,13 +292,18 @@ def parse_program(text: str) -> ScheduledProgram:
                 raise ParseError("straight region must have iterations = 1",
                                  f"functions[{i}].regions[{j}]")
     sequence = doc.get("main", {"sequence": []})["sequence"]
-    refs = [(f"dependencies[{i}]", fid) for i, pair in enumerate(doc["dependencies"])
-            for fid in pair]
-    refs += [(f"main.sequence[{i}]", item["call"]) for i, item in enumerate(sequence)
+    calls = [(f"main.sequence[{i}]", item["call"]) for i, item in enumerate(sequence)
              if "call" in item]
+    refs = [(f"dependencies[{i}]", fid) for i, pair in enumerate(doc["dependencies"])
+            for fid in pair] + calls
     for where, fid in refs:
         if fid not in ids:
             raise ParseError(f"dangling reference to function '{fid}'", where)
+    called = set()
+    for where, fid in calls:
+        if fid in called:
+            raise ParseError(f"function '{fid}' is called more than once", where)
+        called.add(fid)
 
     functions = tuple(
         FunctionSchedule(

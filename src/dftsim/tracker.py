@@ -3,8 +3,13 @@
 One tracker shadows each function. Its state is two counters: ``count``,
 the binary counter over the body (the index of the next body cycle), and
 ``remaining``, the body cycles left until the function completes, which
-stands in for the iteration counter. A tracker is an immutable value:
-``advance`` and ``restore`` return new ones. Its head and tail locks
+stands in for the iteration counter. A tracker is a value, immutable by
+contract: nothing assigns its fields after it is built, so ``advance``
+and ``restore`` return new ones, and states of a run may share it. It is
+a slots dataclass, not a frozen one, because the scheduler builds one
+per running tracker at every step, and a frozen one, which sets each
+field through ``object.__setattr__``, costs about three times as much
+to build. Its head and tail locks
 follow from the scheduler's finished functions: a tail lock reads 1 once
 its function is done, and a head lock is the AND of its predecessors'
 tail locks (constant 1 for an entry function).
@@ -35,8 +40,11 @@ class StatusCorruptionError(ProgramError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TrackerState:
+    """One tracker's counters, immutable by contract: never assigned after
+    it is built, so it is compared and hashed by its fields (which is
+    what ``unsafe_hash`` asks of a class whose fields could be set)."""
     spec: TrackerSpec
     count: int          # next body cycle to execute, [0, body_length)
     remaining: int      # body cycles left until the function completes
@@ -91,21 +99,25 @@ def restore(trackers: Mapping[str, TrackerState], statuses: Mapping[str, int],
     store-all row alias). A tracker at status s > 0 moves back to the
     cycle after the resume point of its last completed cycle s - 1
     (``LiveSetTable.resume``), so every operation in flight at the
-    interruption re-launches. Returns the rolled-back trackers and the
-    per-function rollback cycles.
+    interruption re-launches; one at status 0 stays as it is. Returns the
+    rolled-back trackers and the per-function rollback cycles.
 
     Raises StatusCorruptionError when a status exceeds the counter range.
     """
     rolled: Dict[str, TrackerState] = {}
     rollback: Dict[str, int] = {}
     for fid, tr in trackers.items():
+        back = 0
         s = statuses.get(fid, 0)
-        L = tr.spec.body_length
-        if s > L:
-            raise StatusCorruptionError(
-                f"status {s} of {fid} exceeds body length {L}")
-        back = s and s - 1 - live_tables[fid].resume[s - 1]
-        rolled[fid] = TrackerState(tr.spec, (tr.count - back) % L,
-                                   tr.remaining + back) if back else tr
+        if s:
+            spec = tr.spec
+            if s > spec.body_length:
+                raise StatusCorruptionError(
+                    f"status {s} of {fid} exceeds body length {spec.body_length}")
+            back = s - 1 - live_tables[fid].resume[s - 1]
+            if back:
+                tr = TrackerState(spec, (tr.count - back) % spec.body_length,
+                                  tr.remaining + back)
+        rolled[fid] = tr
         rollback[fid] = back
     return rolled, rollback

@@ -126,6 +126,20 @@ def test_analyze_accepts_a_read_through_the_main_sequence(tmp_path):
     assert normalized["dependencies"] == [["F1", "F2"]]
 
 
+def test_a_function_called_twice_by_the_main_sequence_exits_validation(tmp_path, capsys):
+    # the parser names the second call; merge would chain the two calls
+    # into the self-edge (F, F) and report a dependency cycle
+    doc = {"functions": [straight_fn("F")], "dependencies": [],
+           "main": {"sequence": [{"call": "F"}, {"call": "F"}]}}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    for command, extra in (("analyze", []), ("simulate", []), ("compare", ["--rounds", "1"])):
+        code = cli.main([command, "--program", str(path), "--out", str(tmp_path), *extra])
+        assert code == cli.EXIT_VALIDATION, command
+        assert capsys.readouterr().err == (
+            "main.sequence[1]: function 'F' is called more than once\n"), command
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--outages", "100"],
                                   ["compare", "--outages", "0..100", "--rounds", "1"]],
                          ids=("simulate-100", "compare-0..100"))

@@ -1,6 +1,8 @@
 """Address table: the status -> SLICE lookup, the ``dft`` store set built
-on it in ``powersim.store_set``, and the binary layout."""
+on it in ``powersim.store_set``, the restore plan of its lost registers,
+and the binary layout."""
 
+import random
 import struct
 
 import pytest
@@ -107,3 +109,54 @@ def test_dft_store_sets_with_two_running_trackers(name, monkeypatch):
         assert report.consistent, point
     assert len(seen) == prep.total_cycles
     assert any(len(s) == 2 and all(s.values()) for s in seen)
+
+
+def dense_dft_keys(name, monkeypatch):
+    """The Prepared of ``name`` and every distinct (statuses, finished
+    functions) key of a ``dft`` run with an outage at every other cycle."""
+    if name == "fork-join":
+        program = fork_join_program()
+    else:
+        program = transform.normalize(two_chain_program() if name == "two-chain"
+                                      else benchgen.preset_program(name))
+    prep = powersim.prepare(program)
+    store_set = powersim.store_set
+    keys = {}
+
+    def recording(prepared, statuses, done):
+        keys[(tuple(statuses.items()), tuple(done))] = None
+        return store_set(prepared, statuses, done)
+
+    monkeypatch.setattr(powersim, "store_set", recording)
+    trace = powersim.PowerTrace(points=tuple(range(0, prep.total_cycles, 2)), seed=0,
+                                total_cycles=prep.total_cycles)
+    report = powersim.run(prep.program, powersim.Policy(powersim.DFT), trace, prepared=prep)
+    assert report.consistent
+    return prep, [(dict(statuses), done) for statuses, done in keys]
+
+
+# The kinds of plan the keys of each program get (True: the kept
+# registers). Every key of fork/join (8 to 15 of 15 registers lost), the
+# two-chain program, aes and gsm loses more than half of the registers;
+# global and float also have keys that lose at most half.
+PLAN_KINDS = {"fork-join": {True}, "two-chain": {True}, "aes": {True}, "gsm": {True},
+              "global": {False, True}, "float": {False, True}}
+
+
+@pytest.mark.parametrize("name", PLAN_KINDS)
+def test_restore_plan_reloads_exactly_the_lost_registers(name, monkeypatch):
+    # the plan of every key a dense run meets, applied to a random register
+    # file, against the lost set of the reference: reload there, the old
+    # value everywhere else
+    prep, keys = dense_dft_keys(name, monkeypatch)
+    n = len(prep.reload)
+    rng = random.Random(name)
+    kinds = set()
+    for statuses, done in keys:
+        lost = set(reference_store_set(prep, statuses, done)[2])
+        plan = powersim.restore_plan(powersim.store_set(prep, statuses, done)[2], n)
+        kinds.add(plan[0])
+        regs = [rng.getrandbits(32) for _ in range(n)]
+        want = [prep.reload[i] if i in lost else v for i, v in enumerate(regs)]
+        assert powersim.apply_plan(plan, list(regs), prep.reload) == want, (statuses, done)
+    assert kinds == PLAN_KINDS[name]

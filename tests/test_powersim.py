@@ -229,6 +229,38 @@ def test_outages_compute_only_what_the_policy_reads(fork_join, policy, monkeypat
         assert calls["boundary_status"] >= len(trace.points)
 
 
+def test_dense_runs_keep_their_hook_counts(monkeypatch):
+    # a dft and a fullchip run on aes with an outage every 5 cycles on
+    # average; the counts are pinned, so that a leaner outage path can
+    # neither skip nor repeat a call that a test or a span hooks
+    from dftsim.control_unit import ControlUnitTable
+    from dftsim.engine import CompiledRegion
+
+    prep = powersim.prepare(transform.normalize(benchgen.preset_program("aes")))
+    counts = {}
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counting(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in ((CompiledRegion, "run"), (trk.TrackerState, "advance"),
+                        (trk.TrackerState, "boundary_status"), (trk, "restore"),
+                        (trk, "snapshot"), (trk, "can_start"), (ControlUnitTable, "row")):
+        count(owner, name)
+    trace = powersim.gen_trace(prep.total_cycles, prep.total_cycles // 5, 11)
+    for policy in (powersim.DFT, powersim.FULLCHIP):
+        report = powersim.run(prep.program, powersim.Policy(policy), trace, prepared=prep)
+        assert report.consistent
+        assert len(report.outages) == 3460
+    assert counts == {"run": 6930, "advance": 6928, "boundary_status": 6914,
+                      "restore": 6920, "snapshot": 3460, "can_start": 30, "row": 107}
+
+
 @pytest.mark.parametrize("points,message", [
     ((5, 3), "outage point 3 (index 1) does not follow 5"),
     ((3, 3), "outage point 3 (index 1) does not follow 3"),

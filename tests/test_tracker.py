@@ -95,3 +95,20 @@ def test_advance_matches_a_cycle_by_cycle_counter(case):
     assert tr.remaining == 0
     with pytest.raises(trk.TrackerContractError):
         tr.advance(1)
+
+
+def test_tracker_values_compare_and_hash_by_their_fields():
+    spec = TrackerSpec(iterations=3, body_length=4, width=4, mode=TRACKED, ffs=15)
+    other = TrackerSpec(iterations=3, body_length=4, width=4, mode=TRACKED, ffs=18)
+    tr = trk.TrackerState(spec, 1, 7)
+    same = trk.make_trackers({"f": spec})["f"].advance(5)
+    assert same is not tr and same == tr and hash(same) == hash(tr)
+    assert len({tr, same, trk.TrackerState(spec, 1, 7)}) == 1
+    for differs in (trk.TrackerState(other, 1, 7), trk.TrackerState(spec, 2, 7),
+                    trk.TrackerState(spec, 1, 6)):
+        assert differs != tr
+    assert tr != (spec, 1, 7)
+    assert repr(tr) == f"TrackerState(spec={spec!r}, count=1, remaining=7)"
+    assert not hasattr(tr, "__dict__")
+    with pytest.raises(AttributeError):
+        tr.iteration = 1
