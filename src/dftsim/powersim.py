@@ -472,8 +472,11 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
 
         if name == CP:  # discard in-flight states, resume at last boundary
             ff_here = slices_here = 0
-            rollback = max((tr.spec.max_cycles - tr.remaining
-                            for tr in running.values()), default=0)
+            rollback = 0    # a loop, as max() over a generator costs more
+            for tr in running.values():
+                back = tr.spec.max_cycles - tr.remaining
+                if back > rollback:
+                    rollback = back
             running = {fid: prep.start.trackers[fid] for fid in running}
             survivors = {i for fid in done for i in prep.results[fid]}
             for fid in (*running, *done):

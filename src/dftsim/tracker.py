@@ -102,7 +102,8 @@ def restore(trackers: Mapping[str, TrackerState], statuses: Mapping[str, int],
     interruption re-launches; one at status 0 stays as it is. Returns the
     rolled-back trackers and the per-function rollback cycles.
 
-    Raises StatusCorruptionError when a status exceeds the counter range.
+    Raises StatusCorruptionError when a status is outside the counter
+    range [0, body_length].
     """
     rolled: Dict[str, TrackerState] = {}
     rollback: Dict[str, int] = {}
@@ -111,9 +112,9 @@ def restore(trackers: Mapping[str, TrackerState], statuses: Mapping[str, int],
         s = statuses.get(fid, 0)
         if s:
             spec = tr.spec
-            if s > spec.body_length:
+            if not 0 < s <= spec.body_length:
                 raise StatusCorruptionError(
-                    f"status {s} of {fid} exceeds body length {spec.body_length}")
+                    f"status {s} of {fid} is outside the counter range [0, {spec.body_length}]")
             back = s - 1 - live_tables[fid].resume[s - 1]
             if back:
                 tr = TrackerState(spec, (tr.count - back) % spec.body_length,

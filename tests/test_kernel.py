@@ -2,18 +2,32 @@
 
 ``CompiledRegion.run`` steps every span through one kernel generated per
 distinct region body and bound to the region's register indices: a
-guarded copy of the body for a partial head or tail and an unguarded copy
-for the whole iterations between them. ``program._interp_region`` shares
-no code with it. The cuts below end spans mid-iteration, at seams and
-across several iterations, so every path of the generated function runs;
-after every span the whole register file must equal the interpreter's
-state after the same number of cycles. The golden two-chain program holds
-its second chain at shifted register indices, so that chain's kernels are
-checked bound at a non-zero index offset.
+guarded copy of the body for a partial head or tail and for the first
+``S`` whole iterations (the settle depth), and an unguarded copy of the
+variant ops alone (those on a dependency cycle through the body, or
+downstream of one) for the whole iterations after those.
+``program._interp_region`` shares no code with it. The cuts below end
+spans mid-iteration, at seams and across several iterations, so every
+path of the generated function runs; after every span the whole register
+file must equal the interpreter's state after the same number of cycles.
+Start registers are random, so an invariant register that the kernel
+stops updating too early holds a value the interpreter does not. The
+hand-built bodies below reach what no ``benchgen`` body does: a settle
+depth of 2, no variant op, every op variant, and a register written
+twice. The golden two-chain program holds its second chain at shifted
+register indices, so that chain's kernels are checked bound at a
+non-zero index offset.
 """
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +40,7 @@ from dftsim.program import (
     _interp_region,
     _widths_map,
     compile_program,
+    validate,
 )
 from programs import op, two_chain_program
 
@@ -189,3 +204,182 @@ def test_kernels_differ_in_every_folded_value():
         kernel = check_spans(one_region_program(region), "f", [2, 7])
         codes.append(kernel._span.__code__)
     assert len(set(codes)) == len(variants)
+
+
+def settle(region):
+    """The settle levels and depth of a region's latching ops."""
+    return engine._settle([o for o in region.ops if 0 <= o.end < region.body_length])
+
+
+def settle_cuts(region):
+    """Cut lists that end spans in the head, at seams and deep in the
+    variant-only loop, and start spans mid-iteration before several whole
+    iterations."""
+    L = region.body_length
+    total = region.iterations * L
+    return [[], [1], [L], [1, total - 1], [L + 1, 4 * L + 2],
+            [i * L for i in range(region.iterations)], list(range(1, total, 3))]
+
+
+def check_span_from_any_state(region, lo, cycles, seed):
+    """One call of ``cycles`` cycles from body cycle ``lo``, on registers
+    that hold random values rather than a state the body reached: the
+    interpreter steps the rest of the first iteration, the whole
+    iterations and the tail."""
+    program = one_region_program(region)
+    widths = _widths_map(program)
+    compiled = compile_program(program)
+    rng = random.Random(seed)
+    expected = {reg: rng.getrandbits(32) & ((1 << widths.get(reg, 32)) - 1)
+                for reg in compiled.reg_index}
+    regfile = compiled.new_regfile(expected)
+    compiled.regions["f"].run(regfile, lo, lo + cycles)
+    L = region.body_length
+    rest = replace(region, kind=STRAIGHT, iterations=1,
+                   ops=tuple(o for o in region.ops if o.end >= lo))
+    whole, tail = divmod(lo + cycles, L)
+    _interp_region(rest if lo + cycles >= L else head(rest, lo + cycles), expected, widths)
+    if whole > 1:
+        _interp_region(replace(region, iterations=whole - 1), expected, widths)
+    if tail and whole:
+        _interp_region(head(region, tail), expected, widths)
+    actual = {reg: int(regfile[i]) for reg, i in compiled.reg_index.items()}
+    assert actual == expected, (lo, cycles, seed)
+
+
+def check_settle(region, seeds=range(6)):
+    program = one_region_program(region)
+    for cuts in settle_cuts(region):
+        for seed in seeds:
+            check_spans(program, "f", cuts, seed)
+    L = region.body_length
+    for lo in range(L):
+        for cycles in (1, L - lo, L - lo + 1, 3 * L + 1, 4 * L - lo):
+            for seed in seeds:
+                check_span_from_any_state(region, lo, cycles, seed)
+
+
+def settle_two_region():
+    # a reads b from the previous iteration, and b reads only k, so a
+    # settles in the second whole iteration; acc reads itself
+    ops = (op("a", "add", ["b", "k"], "a", 0, 0),
+           op("acc", "add", ["acc", "a"], "acc", 1, 1),
+           op("b", "pass", ["k"], "b", 2, 2))
+    return Region(kind="loop", iterations=9, body_length=3,
+                  live_in=("b", "k", "acc"), ops=ops)
+
+
+def test_a_previous_iteration_read_settles_in_the_second_iteration():
+    region = settle_two_region()
+    assert validate(one_region_program(region)) == []
+    assert settle(region) == ([2, 0, 1], 2)
+    check_settle(region)
+
+
+def test_a_body_without_a_variant_op_runs_one_whole_iteration():
+    ops = (op("x", "add", ["a", "b"], "x", 0, 0),
+           op("y", "mul", ["x", "c"], "y", 1, 2),
+           op("z", "xor", ["y", "a"], "z", 3, 3))
+    region = Region(kind="loop", iterations=7, body_length=4,
+                    live_in=("a", "b", "c"), ops=ops)
+    assert settle(region) == ([1, 1, 1], 1)
+    check_settle(region)
+    program = one_region_program(region)
+    assert "range(" not in compile_program(program).regions["f"]._source()[0]
+
+
+def mixed_group_region():
+    # cycle 1 latches acc (variant), y (invariant) and w, which reads acc
+    # and so is variant though no cycle runs through it; w reads y before
+    # the group latches it
+    ops = (op("x", "sub", ["a", "k"], "x", 0, 0),
+           op("acc", "add", ["acc", "x"], "acc", 1, 1),
+           op("y", "xor", ["x", "k"], "y", 1, 1),
+           op("w", "sub", ["acc", "y"], "w", 1, 1),
+           op("v", "mul", ["w", "y"], "v", 2, 2),
+           op("u", "pass", ["y"], "u", 2, 2))
+    widths = {"x": 7, "acc": 9, "y": 5, "w": 6, "v": 11, "u": 3}
+    return Region(kind="loop", iterations=8, body_length=3,
+                  live_in=("a", "k", "acc", "y"), ops=ops, reg_widths=widths)
+
+
+def test_a_latch_group_mixing_variant_and_invariant_ops():
+    region = mixed_group_region()
+    assert validate(one_region_program(region)) == []
+    assert settle(region) == ([1, 0, 1, 0, 0, 1], 1)
+    check_settle(region)
+
+
+def test_a_body_of_variant_ops_runs_every_op_in_every_iteration():
+    region = swap_region(iterations=6)
+    assert settle(region) == ([0, 0, 0, 0], 0)
+    check_settle(region)
+
+
+def test_a_register_written_twice_falls_back_to_every_op():
+    ops = (op("p", "add", ["a", "b"], "t", 0, 0),
+           op("q", "pass", ["a"], "u", 1, 1),
+           op("r", "xor", ["u", "b"], "t", 2, 2))
+    region = Region(kind="loop", iterations=5, body_length=3,
+                    live_in=("a", "b"), ops=ops)
+    assert validate(one_region_program(region)) != []
+    assert settle(region) == ([0, 0, 0], 0)
+    check_settle(region, seeds=range(2))
+
+
+def test_preset_bodies_settle_in_one_iteration():
+    for name in benchgen.PRESETS:
+        for f in benchgen.preset_program(name).functions:
+            assert settle(f.region)[1] == 1, (name, f.id)
+
+
+REGS = [f"g{i}" for i in range(6)]
+
+
+@st.composite
+def small_bodies(draw):
+    """A random body of at most six ops, each writing its own register:
+    inputs read any register, so reads go backwards across the seam and
+    into their own latch group, and widths are often narrow."""
+    L = draw(st.integers(1, 4))
+    outputs = draw(st.lists(st.sampled_from(REGS), min_size=1, max_size=6, unique=True))
+    ops = []
+    for i, out in enumerate(outputs):
+        opcode = draw(st.sampled_from(sorted(engine._EXPR)))
+        arity = {"const": 0, "pass": 1}.get(opcode, 2)
+        inputs = draw(st.lists(st.sampled_from(REGS), min_size=arity, max_size=arity))
+        end = draw(st.integers(0, L - 1))
+        ops.append(op(f"o{i}", opcode, inputs, out, draw(st.integers(0, end)), end,
+                      value=draw(st.integers(0, 2**32 - 1))))
+    widths = draw(st.dictionaries(st.sampled_from(REGS), st.integers(1, 32)))
+    return Region(kind="loop", iterations=draw(st.integers(1, 7)), body_length=L,
+                  live_in=tuple(REGS), ops=tuple(ops), reg_widths=widths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_bodies(), st.lists(st.integers(1, 28), max_size=5), st.integers(0, 99))
+def test_random_small_bodies(region, cuts, seed):
+    check_spans(one_region_program(region), "f", cuts, seed)
+    L = region.body_length
+    check_span_from_any_state(region, seed % L, 1 + seed % (4 * L), seed)
+
+
+def preset_sources():
+    """A digest of every preset body's kernel source."""
+    h = hashlib.sha256()
+    for name in benchgen.PRESETS:
+        program = benchgen.preset_program(name)
+        for kernel in compile_program(program).regions.values():
+            h.update(kernel._source()[0].encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2024"])
+def test_kernel_sources_do_not_depend_on_the_hash_seed(hash_seed):
+    code = "import test_kernel; print(test_kernel.preset_sources())"
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join([str(here), str(here.parent / "src")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == preset_sources()

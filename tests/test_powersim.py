@@ -194,7 +194,7 @@ def test_fullchip_rejects_a_status_past_the_body(fork_join, monkeypatch):
 
     monkeypatch.setattr(trk.TrackerState, "boundary_status", corrupting)
     trace = powersim.PowerTrace(points=(2,), seed=0, total_cycles=fork_join.total_cycles)
-    with pytest.raises(trk.StatusCorruptionError, match="status 5 of A exceeds body length 4"):
+    with pytest.raises(trk.StatusCorruptionError, match=r"status 5 of A is outside the counter range \[0, 4\]"):
         powersim.run(fork_join.program, powersim.Policy(powersim.FULLCHIP), trace,
                      prepared=fork_join)
 

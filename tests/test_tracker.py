@@ -10,9 +10,10 @@ counters and on the boundary status.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dftsim import tracker as trk
+from dftsim import powersim, tracker as trk
 from dftsim.liveness import TRACKED, TrackerSpec, live_sets
 from dftsim.program import FunctionSchedule, Operation, Region
+from programs import fork_join_program
 
 
 class Reference:
@@ -112,3 +113,18 @@ def test_tracker_values_compare_and_hash_by_their_fields():
     assert not hasattr(tr, "__dict__")
     with pytest.raises(AttributeError):
         tr.iteration = 1
+
+
+@pytest.mark.parametrize("status", [-1, -4, 5])
+def test_restore_rejects_a_status_outside_the_counter_range(status):
+    # A of the fork/join program has a 4-cycle body; a negative status
+    # would otherwise roll the tracker forward
+    prep = powersim.prepare(fork_join_program())
+    tr = trk.TrackerState(prep.specs["A"], 2, 6)
+    with pytest.raises(trk.StatusCorruptionError,
+                       match=rf"status {status} of A is outside the counter range \[0, 4\]"):
+        trk.restore({"A": tr}, {"A": status}, prep.live_tables)
+    for ok in range(5):
+        rolled, rollback = trk.restore({"A": tr}, {"A": ok}, prep.live_tables)
+        assert 0 <= rollback["A"] <= max(ok - 1, 0)
+        assert rolled["A"].remaining == tr.remaining + rollback["A"]
