@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .program import (
     LOOP,
@@ -43,8 +42,7 @@ class InfeasibleShape(ProgramError):
     pass
 
 
-@dataclass(frozen=True)
-class BenchmarkShape:
+class BenchmarkShape(NamedTuple):
     name: str
     states: int
     body_length: Tuple[int, int]        # inclusive range

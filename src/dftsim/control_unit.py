@@ -21,14 +21,13 @@ no BRAM, which is what synthesis does to small lookup structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 import struct
 
 from .liveness import LiveSetTable, TrackerSpec, TRACKED
 from .placement import Placement, slice_xy
-from .program import ProgramError, ScheduledProgram
+from .program import ProgramError, Record, ScheduledProgram
 
 BRAM_BITS = 18432          # one block RAM holds 18 Kb
 ENTRY_BITS = 32            # two 16-bit coordinates per address
@@ -43,15 +42,20 @@ class UnplacedRegisterError(ControlUnitError):
     pass
 
 
-@dataclass(frozen=True)
-class ControlUnitTable:
-    tracker_region: int              # SLICE mask
-    offsets: Dict[str, int]          # tracker -> base row index
-    rows: Tuple[int, ...]            # global row list, SLICE masks
-    status_rows: Dict[str, int]      # tracker -> highest valid status
-    result_rows: Dict[str, int]      # tracker -> result-hold row index
-    table_width: int                 # widest tracked counter, 0 if none
-    grid_w: int                      # grid width of the SLICE masks
+class ControlUnitTable(Record):
+    __slots__ = ("tracker_region", "offsets", "rows", "status_rows", "result_rows",
+                 "table_width", "grid_w")
+
+    def __init__(self, tracker_region: int, offsets: Dict[str, int], rows: Tuple[int, ...],
+                 status_rows: Dict[str, int], result_rows: Dict[str, int],
+                 table_width: int, grid_w: int):
+        self.tracker_region = tracker_region    # SLICE mask
+        self.offsets = offsets                  # tracker -> base row index
+        self.rows = rows                        # global row list, SLICE masks
+        self.status_rows = status_rows          # tracker -> highest valid status
+        self.result_rows = result_rows          # tracker -> result-hold row index
+        self.table_width = table_width          # widest tracked counter, 0 if none
+        self.grid_w = grid_w                    # grid width of the SLICE masks
 
     def row(self, fid: str, status: int) -> int:
         hi = self.status_rows[fid]

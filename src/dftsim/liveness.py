@@ -13,11 +13,10 @@ that exhaustively with a brute-force restore-replay oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .placement import tracker_resources
-from .program import ProgramError, Region, _widths_map
+from .program import ProgramError, Record, Region, _widths_map
 
 TRACKED = "tracked"
 STORE_ALL = "store_all"
@@ -34,20 +33,25 @@ class UntrackableLength(ProgramError):
     pass
 
 
-@dataclass(frozen=True)
-class LiveSetTable:
-    body_length: int
-    live: Tuple[frozenset, ...]    # index n: registers to preserve at cycle n
-    resume: Tuple[int, ...]        # index n: r(n)
+class LiveSetTable(Record):
+    __slots__ = ("body_length", "live", "resume")
+
+    def __init__(self, body_length: int, live: Tuple[frozenset, ...],
+                 resume: Tuple[int, ...]):
+        self.body_length = body_length
+        self.live = live          # index n: registers to preserve at cycle n
+        self.resume = resume      # index n: r(n)
 
 
-@dataclass(frozen=True)
-class TrackerSpec:
-    iterations: int                # loop arbitration bound
-    body_length: int               # counter wrap bound
-    width: int                     # counter bit width
-    mode: str                      # TRACKED or STORE_ALL
-    ffs: int                       # flip-flops placement gives the tracker
+class TrackerSpec(Record):
+    __slots__ = ("iterations", "body_length", "width", "mode", "ffs")
+
+    def __init__(self, iterations: int, body_length: int, width: int, mode: str, ffs: int):
+        self.iterations = iterations      # loop arbitration bound
+        self.body_length = body_length    # counter wrap bound
+        self.width = width                # counter bit width
+        self.mode = mode                  # TRACKED or STORE_ALL
+        self.ffs = ffs                    # flip-flops placement gives the tracker
 
     @property
     def max_cycles(self) -> int:

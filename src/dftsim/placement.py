@@ -17,7 +17,6 @@ bits lo // F up to ceil(hi / F), and a union of SLICE sets is an OR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Mapping, Tuple
 
@@ -64,17 +63,21 @@ def slice_xy(mask: int, grid_w: int) -> List[Tuple[int, int]]:
     return [(i % grid_w, i // grid_w) for i, b in enumerate(bits) if b == "1"]
 
 
-@dataclass
 class Placement:
     """Flip-flop hosting of every register and every tracker, as SLICE
     masks; ``slice_ffs`` maps each occupied SLICE's index to the
-    flip-flops used in it."""
+    flip-flops used in it. ``__dict__`` holds what ``cached_property``
+    caches."""
 
-    ffs_per_slice: int
-    grid_w: int
-    regs: Dict[str, int] = field(default_factory=dict)
-    trackers: Dict[str, int] = field(default_factory=dict)
-    slice_ffs: Dict[int, int] = field(default_factory=dict)
+    __slots__ = ("ffs_per_slice", "grid_w", "regs", "trackers", "slice_ffs", "__dict__")
+
+    def __init__(self, ffs_per_slice: int, grid_w: int, regs: Dict[str, int],
+                 trackers: Dict[str, int], slice_ffs: Dict[int, int]):
+        self.ffs_per_slice = ffs_per_slice
+        self.grid_w = grid_w
+        self.regs = regs
+        self.trackers = trackers
+        self.slice_ffs = slice_ffs
 
     @cached_property
     def _shortfalls(self) -> Tuple[Tuple[int, int], ...]:

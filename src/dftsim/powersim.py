@@ -94,7 +94,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -106,6 +105,7 @@ from .liveness import LiveSetTable, TrackerSpec, live_sets, plan_trackers
 from .placement import Placement, assign_slices
 from .program import (
     ProgramError,
+    Record,
     ScheduledProgram,
     compile_program,
     execute_reference,
@@ -124,124 +124,159 @@ class ConsistencyError(ProgramError):
     pass
 
 
-@dataclass(frozen=True)
-class PowerTrace:
-    points: Tuple[int, ...]    # strictly increasing, in [0, total_cycles)
-    seed: int
-    total_cycles: int
+class PowerTrace(Record):
+    __slots__ = ("points", "seed", "total_cycles")
 
-    def __post_init__(self):
+    def __init__(self, points: Tuple[int, ...], seed: int, total_cycles: int):
         last = -1
-        for i, point in enumerate(self.points):
-            if not 0 <= point < self.total_cycles:
+        for i, point in enumerate(points):
+            if not 0 <= point < total_cycles:
                 raise ValueError(f"outage point {point} (index {i}) is outside "
-                                 f"[0, {self.total_cycles})")
+                                 f"[0, {total_cycles})")
             if point <= last:
                 raise ValueError(f"outage point {point} (index {i}) does not "
                                  f"follow {last}: points must strictly increase")
             last = point
+        self.points = points    # strictly increasing, in [0, total_cycles)
+        self.seed = seed
+        self.total_cycles = total_cycles
 
 
-@dataclass(frozen=True)
-class Policy:
-    name: str
+class Policy(Record):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if self.name not in POLICY_NAMES:
-            raise ValueError(f"unknown policy '{self.name}'")
-
-
-@dataclass
-class SimConfig:
-    ffs_per_slice: int = 8
-    grid: Tuple[int, int] = (100, 100)
+    def __init__(self, name: str):
+        if name not in POLICY_NAMES:
+            raise ValueError(f"unknown policy '{name}'")
+        self.name = name
 
 
-@dataclass(slots=True)
-class OutageRecord:
-    point: int
-    rollback: int
-    ff_stored: int
-    slices_stored: int
+class SimConfig(Record):
+    __slots__ = ("ffs_per_slice", "grid")
+
+    def __init__(self, ffs_per_slice: int = 8, grid: Tuple[int, int] = (100, 100)):
+        self.ffs_per_slice = ffs_per_slice
+        self.grid = grid
 
 
-@dataclass
-class SimulationReport:
-    policy: str
-    trace: PowerTrace
-    total_rollback: int                     # cycles, summed over the outages
-    per_outage_rollback: Tuple[int, ...]    # cycles per outage
-    # Flip-flops stored over the run: at each outage for dft (whole occupied
-    # SLICEs) and fullchip (every SLICE of the grid), at each function
-    # completion for cp (its result registers).
-    ff_stores: int
-    bram_count: int                         # 18 Kb block RAMs
-    slice_store_events: int                 # SLICEs stored, summed over the outages
-    # Store latency in cycles: 1 per stored SLICE for dft and fullchip,
-    # 1 per result word for cp.
-    store_cost_cycles: int
-    wall_progress_cycles: int               # cycles stepped, re-execution included
-    final_state: Dict[str, int]
-    reference_state: Dict[str, int]
-    outages: Tuple[OutageRecord, ...]
+class OutageRecord(Record):
+    __slots__ = ("point", "rollback", "ff_stored", "slices_stored")
+
+    def __init__(self, point: int, rollback: int, ff_stored: int, slices_stored: int):
+        self.point = point
+        self.rollback = rollback
+        self.ff_stored = ff_stored
+        self.slices_stored = slices_stored
+
+
+class SimulationReport(Record):
+    __slots__ = ("policy", "trace", "total_rollback", "per_outage_rollback", "ff_stores",
+                 "bram_count", "slice_store_events", "store_cost_cycles",
+                 "wall_progress_cycles", "final_state", "reference_state", "outages")
+
+    def __init__(self, policy: str, trace: PowerTrace, total_rollback: int,
+                 per_outage_rollback: Tuple[int, ...], ff_stores: int, bram_count: int,
+                 slice_store_events: int, store_cost_cycles: int, wall_progress_cycles: int,
+                 final_state: Dict[str, int], reference_state: Dict[str, int],
+                 outages: Tuple[OutageRecord, ...]):
+        self.policy = policy
+        self.trace = trace
+        self.total_rollback = total_rollback                # cycles, summed over the outages
+        self.per_outage_rollback = per_outage_rollback      # cycles per outage
+        # Flip-flops stored over the run: at each outage for dft (whole
+        # occupied SLICEs) and fullchip (every SLICE of the grid), at each
+        # function completion for cp (its result registers).
+        self.ff_stores = ff_stores
+        self.bram_count = bram_count                        # 18 Kb block RAMs
+        self.slice_store_events = slice_store_events        # SLICEs stored, summed over the outages
+        # Store latency in cycles: 1 per stored SLICE for dft and fullchip,
+        # 1 per result word for cp.
+        self.store_cost_cycles = store_cost_cycles
+        self.wall_progress_cycles = wall_progress_cycles    # cycles stepped, re-execution included
+        self.final_state = final_state
+        self.reference_state = reference_state
+        self.outages = outages
 
     @property
     def consistent(self) -> bool:
         return self.final_state == self.reference_state
 
 
-@dataclass(frozen=True)
-class RunState:
+class RunState(Record):
     """The scheduler's state at an event of the uninterrupted run.
 
     A run that starts here instead of at cycle 0 works on its own copies
     of the registers and of the tracker dict (a ``dft`` outage may even
     replace its register list by a new one); it shares the trackers
-    themselves, which are immutable by contract.
+    themselves, which are immutable by contract. A state is too: nothing
+    assigns its fields after it is built.
     """
-    position: int
-    regs: Tuple[int, ...]
-    trackers: Dict[str, trk.TrackerState]
-    running: Tuple[str, ...]
-    done: Tuple[str, ...]
-    candidates: Tuple[str, ...]    # functions to check for a start next
+
+    __slots__ = ("position", "regs", "trackers", "running", "done", "candidates")
+
+    def __init__(self, position: int, regs: Tuple[int, ...],
+                 trackers: Dict[str, trk.TrackerState], running: Tuple[str, ...],
+                 done: Tuple[str, ...], candidates: Tuple[str, ...]):
+        self.position = position
+        self.regs = regs
+        self.trackers = trackers
+        self.running = running
+        self.done = done
+        self.candidates = candidates    # functions to check for a start next
 
 
 _POSITION = attrgetter("position")
 _REMAINING = attrgetter("remaining")
 
 
-@dataclass
-class Prepared:
+class Prepared(Record):
     """Everything an intermittent run needs, built once per program."""
-    program: ScheduledProgram
-    config: SimConfig
-    specs: Dict[str, TrackerSpec]
-    live_tables: Dict[str, LiveSetTable]
-    placement: Placement
-    table: ControlUnitTable
-    compiled: object
-    reference: Dict[str, int]
-    total_cycles: int
-    result_ffs: int                         # result-register FFs summed over functions
-    order: Tuple[str, ...]                  # topological order
-    preds: Dict[str, Tuple[str, ...]]
-    succs: Dict[str, Tuple[str, ...]]
-    after: Dict[str, int]      # longest dependency path of work after a function
-    # Register-file views of the outage path. ``reload[i]`` is what register
-    # i holds after its contents are lost: its input-buffer value if it is
-    # externally bound, the sentinel otherwise, masked to its width.
-    reload: Tuple[int, ...]
-    written: Dict[str, Tuple[int, ...]]     # register indices each function writes
-    results: Dict[str, Tuple[int, ...]]     # result register indices per function
-    final_regs: Tuple[Tuple[str, int], ...]  # (name, index) of every result register
-    reg_slices: Tuple[Tuple[int, int], ...]  # (register index, SLICE mask) if placed
-    brams: Dict[str, int]                   # BRAMs per policy
-    start: RunState                         # before the first cycle
-    first_completion: int                   # position of the first completion
-    # ``start`` and the state after each function completion, by position;
-    # built by the first ``run``.
-    states: Optional[Tuple[RunState, ...]] = None
+
+    __slots__ = ("program", "config", "specs", "live_tables", "placement", "table",
+                 "compiled", "reference", "total_cycles", "result_ffs", "order", "preds",
+                 "succs", "after", "reload", "written", "results", "final_regs",
+                 "reg_slices", "brams", "start", "first_completion", "states")
+
+    def __init__(self, program: ScheduledProgram, config: SimConfig,
+                 specs: Dict[str, TrackerSpec], live_tables: Dict[str, LiveSetTable],
+                 placement: Placement, table: ControlUnitTable, compiled: object,
+                 reference: Dict[str, int], total_cycles: int, result_ffs: int,
+                 order: Tuple[str, ...], preds: Dict[str, Tuple[str, ...]],
+                 succs: Dict[str, Tuple[str, ...]], after: Dict[str, int],
+                 reload: Tuple[int, ...], written: Dict[str, Tuple[int, ...]],
+                 results: Dict[str, Tuple[int, ...]], final_regs: Tuple[Tuple[str, int], ...],
+                 reg_slices: Tuple[Tuple[int, int], ...], brams: Dict[str, int],
+                 start: RunState, first_completion: int,
+                 states: Optional[Tuple[RunState, ...]] = None):
+        self.program = program
+        self.config = config
+        self.specs = specs
+        self.live_tables = live_tables
+        self.placement = placement
+        self.table = table
+        self.compiled = compiled
+        self.reference = reference
+        self.total_cycles = total_cycles
+        self.result_ffs = result_ffs    # result-register FFs summed over functions
+        self.order = order              # topological order
+        self.preds = preds
+        self.succs = succs
+        self.after = after      # longest dependency path of work after a function
+        # Register-file views of the outage path. ``reload[i]`` is what
+        # register i holds after its contents are lost: its input-buffer
+        # value if it is externally bound, the sentinel otherwise, masked to
+        # its width.
+        self.reload = reload
+        self.written = written          # register indices each function writes
+        self.results = results          # result register indices per function
+        self.final_regs = final_regs    # (name, index) of every result register
+        self.reg_slices = reg_slices    # (register index, SLICE mask) if placed
+        self.brams = brams              # BRAMs per policy
+        self.start = start              # before the first cycle
+        self.first_completion = first_completion    # position of the first completion
+        # ``start`` and the state after each function completion, by
+        # position; built by the first ``run``.
+        self.states = states
 
 
 def makespan(program: ScheduledProgram) -> int:

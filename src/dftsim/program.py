@@ -26,9 +26,9 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import engine
 
@@ -53,8 +53,37 @@ class UnboundLiveInError(ProgramError):
     pass
 
 
-@dataclass(frozen=True)
-class Operation:
+class Record:
+    """Base of the ``__slots__`` records: ``==``, ``hash`` and ``repr`` by
+    the fields that ``__slots__`` names, in order, as a dataclass has them,
+    and ``_replace`` as a ``NamedTuple`` has it. The methods read
+    ``__slots__`` when they are called, so a record class generates no
+    code. A record with an unhashable field is unhashable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with the fields in ``changes`` set to their values."""
+        return type(self)(**{**{name: getattr(self, name) for name in self.__slots__},
+                             **changes})
+
+
+class Operation(NamedTuple):
     id: str
     opcode: str
     inputs: Tuple[str, ...]
@@ -64,21 +93,19 @@ class Operation:
     value: int = 0  # immediate, used by const
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     kind: str                       # LOOP or STRAIGHT
     iterations: int                 # 1 for STRAIGHT
     body_length: int
     live_in: Tuple[str, ...] = ()
     ops: Tuple[Operation, ...] = ()
-    reg_widths: Mapping[str, int] = field(default_factory=dict)
+    reg_widths: Mapping[str, int] = MappingProxyType({})    # shared, so read-only
 
     def written_regs(self) -> Tuple[str, ...]:
         return tuple(op.output for op in self.ops)
 
 
-@dataclass(frozen=True)
-class FunctionSchedule:
+class FunctionSchedule(NamedTuple):
     id: str
     regions: Tuple[Region, ...]
     result_regs: frozenset
@@ -95,12 +122,11 @@ class FunctionSchedule:
 MainItem = Tuple[str, object]
 
 
-@dataclass(frozen=True)
-class ScheduledProgram:
+class ScheduledProgram(NamedTuple):
     functions: Tuple[FunctionSchedule, ...]
     dependencies: Tuple[Tuple[str, str], ...]
     main_sequence: Tuple[MainItem, ...] = ()
-    default_inputs: Mapping[str, int] = field(default_factory=dict)
+    default_inputs: Mapping[str, int] = MappingProxyType({})    # shared, so read-only
 
     def function(self, fid: str) -> FunctionSchedule:
         for f in self.functions:
@@ -145,8 +171,7 @@ class ScheduledProgram:
         return order
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     entity: str
     message: str
@@ -258,7 +283,7 @@ def _walk(value, node: Mapping, path: str, where: str, label: str) -> None:
 
 def _operation(doc: Mapping) -> Operation:
     """A checked op object as an ``Operation``: the schema's field names are
-    the dataclasses' field names, here and for ``Region``."""
+    the ``NamedTuple`` field names, here and for ``Region``."""
     return Operation(**{**doc, "inputs": tuple(doc["inputs"]),
                         "value": doc.get("value", 0) & U32})
 
@@ -571,7 +596,7 @@ def _widths_map(program: ScheduledProgram) -> Dict[str, int]:
 
 
 def all_registers(program: ScheduledProgram) -> List[str]:
-    """Every register id, in deterministic order."""
+    """Every register id of a normalized program, in deterministic order."""
     seen: Dict[str, None] = {}
     for f in program.functions:
         for r in f.regions:
@@ -583,11 +608,6 @@ def all_registers(program: ScheduledProgram) -> List[str]:
                 seen.setdefault(op.output, None)
         for reg in f.result_regs:
             seen.setdefault(reg, None)
-    for tag, x in program.main_sequence:
-        if tag == "op":
-            for reg in x.inputs:
-                seen.setdefault(reg, None)
-            seen.setdefault(x.output, None)
     return list(seen)
 
 

@@ -6,10 +6,10 @@ the binary counter over the body (the index of the next body cycle), and
 stands in for the iteration counter. A tracker is a value, immutable by
 contract: nothing assigns its fields after it is built, so ``advance``
 and ``restore`` return new ones, and states of a run may share it. It is
-a slots dataclass, not a frozen one, because the scheduler builds one
-per running tracker at every step, and a frozen one, which sets each
-field through ``object.__setattr__``, costs about three times as much
-to build. Its head and tail locks
+a ``__slots__`` record with a plain ``__init__``, not a frozen class,
+because the scheduler builds one per running tracker at every step, and
+a frozen one, which sets each field through ``object.__setattr__``,
+costs about three times as much to build. Its head and tail locks
 follow from the scheduler's finished functions: a tail lock reads 1 once
 its function is done, and a head lock is the AND of its predecessors'
 tail locks (constant 1 for an entry function).
@@ -25,11 +25,10 @@ table encodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Dict, Mapping, Sequence, Tuple
 
 from .liveness import TRACKED, LiveSetTable, TrackerSpec
-from .program import ProgramError
+from .program import ProgramError, Record
 
 
 class TrackerContractError(ProgramError):
@@ -40,14 +39,17 @@ class StatusCorruptionError(ProgramError):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TrackerState:
+class TrackerState(Record):
     """One tracker's counters, immutable by contract: never assigned after
-    it is built, so it is compared and hashed by its fields (which is
-    what ``unsafe_hash`` asks of a class whose fields could be set)."""
-    spec: TrackerSpec
-    count: int          # next body cycle to execute, [0, body_length)
-    remaining: int      # body cycles left until the function completes
+    it is built, so it is compared and hashed by its fields, although
+    they could be set."""
+
+    __slots__ = ("spec", "count", "remaining")
+
+    def __init__(self, spec: TrackerSpec, count: int, remaining: int):
+        self.spec = spec
+        self.count = count              # next body cycle to execute, [0, body_length)
+        self.remaining = remaining      # body cycles left until the function completes
 
     def advance(self, cycles: int) -> "TrackerState":
         """The tracker after ``cycles`` more body cycles, wrapping the

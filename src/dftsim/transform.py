@@ -18,7 +18,6 @@ result registers; ``normalize`` composes them and is idempotent.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import AbstractSet, Dict, Iterable, List, Set, Tuple
 
 from .program import (
@@ -68,7 +67,7 @@ def _link(functions: Iterable[FunctionSchedule],
                     deps.add((src, f.id))
                     if reg not in results[src]:
                         results[src] = results[src] | {reg}
-    return tuple(f if results[f.id] is f.result_regs else replace(f, result_regs=results[f.id])
+    return tuple(f if results[f.id] is f.result_regs else f._replace(result_regs=results[f.id])
                  for f in functions)
 
 
@@ -99,7 +98,7 @@ def split(function: FunctionSchedule) -> List[FunctionSchedule]:
         extra = carried if j == len(regions) - 1 else frozenset()
         fragments.append(FunctionSchedule(
             id=f"{function.id}__s{j}",
-            regions=(replace(region, live_in=tuple(sorted(extra.union(region.live_in)))),),
+            regions=(region._replace(live_in=tuple(sorted(extra.union(region.live_in)))),),
             result_regs=(function.result_regs & set(region.written_regs())) | extra))
     return fragments
 
@@ -146,7 +145,7 @@ def merge(program: ScheduledProgram) -> ScheduledProgram:
 
     deps = set(program.dependencies) | set(zip(chain, chain[1:]))
     functions = _link((*program.functions, *new_functions), deps)
-    return replace(program, functions=functions, dependencies=tuple(sorted(deps)),
+    return program._replace(functions=functions, dependencies=tuple(sorted(deps)),
                    main_sequence=())
 
 
@@ -168,4 +167,4 @@ def normalize(program: ScheduledProgram) -> ScheduledProgram:
         deps.add((parts[pred][-1].id, parts[succ][0].id))
 
     functions = _link((g for fragments in parts.values() for g in fragments), deps)
-    return replace(merged, functions=functions, dependencies=tuple(sorted(deps)))
+    return merged._replace(functions=functions, dependencies=tuple(sorted(deps)))

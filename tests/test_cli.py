@@ -140,6 +140,42 @@ def test_a_function_called_twice_by_the_main_sequence_exits_validation(tmp_path,
             "main.sequence[1]: function 'F' is called more than once\n"), command
 
 
+def pass_fn(fid, op_id, src, dst, widths=None, start=0, end=0, opcode="pass"):
+    """A function of one two-cycle straight region, with live-in ``a``,
+    whose one op reads ``src`` into ``dst``."""
+    region = {"kind": "straight", "iterations": 1, "body_length": 2, "live_in": ["a"],
+              "ops": [{"id": op_id, "opcode": opcode, "inputs": src, "output": dst,
+                       "start": start, "end": end}]}
+    if widths:
+        region["reg_widths"] = widths
+    return {"id": fid, "result_regs": [dst], "regions": [region]}
+
+
+@pytest.mark.parametrize("functions,message", [
+    ([pass_fn("f", "o", ["a"], "y", opcode="add")],
+     "bad-arity [f/o]: add takes 2 inputs, got 1"),
+    ([pass_fn("f", "o", ["a"], "y", start=1, end=0)],
+     "bad-span [f/o]: invalid cycle span [1, 0]"),
+    ([pass_fn("f", "o", ["b"], "y")],
+     "undefined-input [f/o]: b is never written and not a live-in"),
+    ([pass_fn("f", "o", ["a"], "y"), pass_fn("g", "o", ["a"], "z")],
+     "duplicate-op-id [g/o]: op id also used in f"),
+    ([pass_fn("f", "o", ["a"], "y", widths={"a": 8}),
+      pass_fn("g", "p", ["a"], "z", widths={"a": 16})],
+     "width-conflict [a]: declared 8 bits in f, 16 bits in g"),
+], ids=("bad-arity", "bad-span", "undefined-input", "duplicate-op-id", "width-conflict"))
+def test_a_program_that_breaks_a_validate_rule_exits_validation(functions, message, tmp_path,
+                                                                capsys):
+    # the schema accepts each document; validate names the rule and the entity
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps({"functions": functions, "dependencies": [],
+                                "inputs": {"a": 1}}))
+    for command, extra in (("analyze", []), ("simulate", []), ("compare", ["--rounds", "1"])):
+        code = cli.main([command, "--program", str(path), "--out", str(tmp_path), *extra])
+        assert code == cli.EXIT_VALIDATION, command
+        assert capsys.readouterr().err == message + "\n", command
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--outages", "100"],
                                   ["compare", "--outages", "0..100", "--rounds", "1"]],
                          ids=("simulate-100", "compare-0..100"))

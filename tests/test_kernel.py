@@ -24,7 +24,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -52,8 +51,8 @@ def one_region_program(region):
 
 def head(region, cycles):
     """The first ``cycles`` body cycles of one iteration, as a region."""
-    return replace(region, kind=STRAIGHT, iterations=1, body_length=cycles,
-                   ops=tuple(o for o in region.ops if o.end < cycles))
+    return region._replace(kind=STRAIGHT, iterations=1, body_length=cycles,
+                           ops=tuple(o for o in region.ops if o.end < cycles))
 
 
 def check_spans(program, fid, cuts, seed=0):
@@ -79,7 +78,7 @@ def check_spans(program, fid, cuts, seed=0):
         done = cut
         full, tail = divmod(done, L)
         if full > seam_iters:
-            _interp_region(replace(region, iterations=full - seam_iters), seam, widths)
+            _interp_region(region._replace(iterations=full - seam_iters), seam, widths)
             seam_iters = full
         expected = dict(seam)
         if tail:
@@ -192,12 +191,12 @@ def test_kernels_differ_in_every_folded_value():
     base = narrow_region()
     variants = [
         base,
-        replace(base, reg_widths={**base.reg_widths, "d": 5}),
-        replace(base, ops=tuple(replace(o, value=7) if o.id == "c" else o
+        base._replace(reg_widths={**base.reg_widths, "d": 5}),
+        base._replace(ops=tuple(o._replace(value=7) if o.id == "c" else o
                                 for o in base.ops)),
-        replace(base, ops=tuple(replace(o, opcode="xor") if o.id == "acc" else o
+        base._replace(ops=tuple(o._replace(opcode="xor") if o.id == "acc" else o
                                 for o in base.ops)),
-        replace(base, body_length=4),
+        base._replace(body_length=4),
     ]
     codes = []
     for region in variants:
@@ -235,12 +234,12 @@ def check_span_from_any_state(region, lo, cycles, seed):
     regfile = compiled.new_regfile(expected)
     compiled.regions["f"].run(regfile, lo, lo + cycles)
     L = region.body_length
-    rest = replace(region, kind=STRAIGHT, iterations=1,
-                   ops=tuple(o for o in region.ops if o.end >= lo))
+    rest = region._replace(kind=STRAIGHT, iterations=1,
+                           ops=tuple(o for o in region.ops if o.end >= lo))
     whole, tail = divmod(lo + cycles, L)
     _interp_region(rest if lo + cycles >= L else head(rest, lo + cycles), expected, widths)
     if whole > 1:
-        _interp_region(replace(region, iterations=whole - 1), expected, widths)
+        _interp_region(region._replace(iterations=whole - 1), expected, widths)
     if tail and whole:
         _interp_region(head(region, tail), expected, widths)
     actual = {reg: int(regfile[i]) for reg, i in compiled.reg_index.items()}

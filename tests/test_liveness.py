@@ -14,8 +14,6 @@ multi-cycle operations therefore pin the resume points themselves, and
 the roll-back ``tracker.restore`` derives from them.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from dftsim import benchgen, transform, tracker as trk
@@ -36,8 +34,8 @@ LOST = 0xDEADBEEF
 
 def cycles(region, lo, hi):
     """One iteration of ``region`` that latches only the cycles [lo, hi)."""
-    return replace(region, iterations=1,
-                   ops=tuple(op for op in region.ops if lo <= op.end < hi))
+    return region._replace(iterations=1,
+                           ops=tuple(op for op in region.ops if lo <= op.end < hi))
 
 
 def check_function(f, entry, widths):
@@ -54,7 +52,7 @@ def check_function(f, entry, widths):
             keep = table.live[r]
             got = {reg: v if reg in keep else LOST for reg, v in state.items()}
             _interp_region(cycles(region, r + 1, L), got, widths)
-            _interp_region(replace(region, iterations=region.iterations - i - 1),
+            _interp_region(region._replace(iterations=region.iterations - i - 1),
                            got, widths)
             for reg in sorted(f.result_regs):
                 assert got[reg] == want[reg], (f.id, i, n, reg)

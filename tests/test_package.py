@@ -1,4 +1,5 @@
-"""Packaging: the simulator imports without numpy."""
+"""Packaging: the simulator imports without numpy, and without
+``dataclasses`` and the ``inspect`` it loads."""
 
 import os
 import subprocess
@@ -14,3 +15,12 @@ def test_import_leaves_numpy_out():
         [sys.executable, "-c", "import sys, dftsim; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_dataclasses_out():
+    # the record types are built without a per-class exec
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, dftsim; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False False"

@@ -1,8 +1,12 @@
 """Intermittent runs: fork/join crash consistency, the event-driven
 scheduler, and consistency-failure reports."""
 
+import hashlib
+import os
 import re
-from dataclasses import replace
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -75,7 +79,7 @@ def test_wall_from_every_start_state_without_outages(program, policy):
     trace = powersim.gen_trace(prep.total_cycles, 0, 0)
     powersim.run(prep.program, policy, trace, prepared=prep)
     for i in range(len(prep.states)):
-        upto = replace(prep, states=prep.states[:i + 1])
+        upto = prep._replace(states=prep.states[:i + 1])
         report = powersim.run(prep.program, policy, trace, prepared=upto)
         assert report.wall_progress_cycles == prep.total_cycles, i
         assert report.consistent, i
@@ -327,3 +331,30 @@ def test_a_width_declared_by_a_reader_holds_program_wide():
             trace = powersim.PowerTrace(points=(point,), seed=0,
                                         total_cycles=prep.total_cycles)
             assert powersim.run(program, policy, trace, prepared=prep).consistent
+
+
+def sweep_digest():
+    """SHA-256 of the reports of a single-outage sweep of the two-chain
+    program under every policy; a report's repr names every field."""
+    prep = powersim.prepare(transform.normalize(two_chain_program()))
+    digest = hashlib.sha256()
+    for point in range(prep.total_cycles):
+        trace = powersim.PowerTrace(points=(point,), seed=0, total_cycles=prep.total_cycles)
+        for policy in POLICIES:
+            report = powersim.run(prep.program, policy, trace, prepared=prep)
+            digest.update(repr(report).encode())
+    return digest.hexdigest()
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # records hash by their fields, and string hashes differ between
+    # processes; a run that iterated a set of them could differ too
+    code = "import test_powersim; print(test_powersim.sweep_digest())"
+    here = Path(__file__).resolve().parent
+    digests = []
+    for hash_seed in ("1", "2024"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([str(here), str(here.parent / "src")])}
+        digests.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert len(digests[0].strip()) == 64 and digests[0] == digests[1]

@@ -267,6 +267,15 @@ def test_live_in_from_non_predecessor_rejected():
     assert validate(with_edge) == []
 
 
+def test_dependency_cycle_rejected():
+    # parse_program rejects a cycle first, so the program is built in code
+    fns = tuple(FunctionSchedule(id=fid, regions=(straight([], 1),), result_regs=frozenset())
+                for fid in ("f1", "f2"))
+    program = ScheduledProgram(functions=fns, dependencies=(("f1", "f2"), ("f2", "f1")))
+    assert [str(v) for v in validate(program)] == [
+        "dependency-cycle [program]: dependency relation is not a DAG"]
+
+
 @pytest.mark.parametrize("width", [40, 0])
 def test_width_outside_1_to_32_rejected(width):
     # the schema bounds widths in a document; a program built in code is

@@ -7,8 +7,6 @@ only the start state steps every run from cycle 0, so every field of the
 two reports must match.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +28,7 @@ def prepared(name):
 
 
 def from_zero(prep):
-    return replace(prep, states=(prep.start,))
+    return prep._replace(states=(prep.start,))
 
 
 def check(prep, zero, policy, points):
@@ -137,8 +135,7 @@ def test_outage_at_a_completion_fires_before_the_successors_start(
             return super().__getitem__(fid)
 
     monkeypatch.setattr(trk, "restore", recording)
-    recorded = replace(prep, start=replace(prep.start,
-                                           trackers=Reads(prep.start.trackers)))
+    recorded = prep._replace(start=prep.start._replace(trackers=Reads(prep.start.trackers)))
     for before, state in zip(prep.states, prep.states[1:-1]):
         finished = set(state.done) - set(before.done)
         successors = {s for fid in finished for s in prep.succs[fid]}

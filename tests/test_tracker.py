@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dftsim import powersim, tracker as trk
-from dftsim.liveness import TRACKED, TrackerSpec, live_sets
+from dftsim.liveness import TRACKED, LiveSetTable, TrackerSpec, live_sets
 from dftsim.program import FunctionSchedule, Operation, Region
 from programs import fork_join_program
 
@@ -113,6 +113,25 @@ def test_tracker_values_compare_and_hash_by_their_fields():
     assert not hasattr(tr, "__dict__")
     with pytest.raises(AttributeError):
         tr.iteration = 1
+
+    # the other run-path records that tests compare
+    assert spec == TrackerSpec(3, 4, 4, TRACKED, 15) and spec != other
+    assert hash(spec) == hash(TrackerSpec(3, 4, 4, TRACKED, 15))
+    assert repr(spec) == "TrackerSpec(iterations=3, body_length=4, width=4, mode='tracked', ffs=15)"
+    table = LiveSetTable(body_length=2, live=(frozenset(["a"]), frozenset()), resume=(0, 1))
+    twin = LiveSetTable(2, (frozenset(["a"]), frozenset()), (0, 1))
+    assert table == twin and hash(table) == hash(twin)
+    assert table != LiveSetTable(2, (frozenset(["a"]), frozenset()), (0, 0))
+    assert repr(table) == ("LiveSetTable(body_length=2, live=(frozenset({'a'}), frozenset()), "
+                           "resume=(0, 1))")
+    state = powersim.RunState(position=3, regs=(1, 2), trackers={"f": tr}, running=("f",),
+                              done=(), candidates=())
+    assert state == powersim.RunState(3, (1, 2), {"f": same}, ("f",), (), ())
+    assert state != powersim.RunState(3, (1, 2), {"f": tr}, (), (), ())
+    assert repr(state) == (f"RunState(position=3, regs=(1, 2), trackers={{'f': {tr!r}}}, "
+                           "running=('f',), done=(), candidates=())")
+    with pytest.raises(TypeError):
+        hash(state)     # its tracker dict is unhashable
 
 
 @pytest.mark.parametrize("status", [-1, -4, 5])

@@ -1,7 +1,6 @@
 """Function split, merge, and normalization."""
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,7 +137,7 @@ def linked_programs():
         functions=(p, late), dependencies=(("P", "f"),), default_inputs={"y": 1})
 
     # Q's result reaches f through P, which returns it without writing it
-    q = replace(p, id="Q")
+    q = p._replace(id="Q")
     through = FunctionSchedule(id="P", regions=(straight(
         [op("pw", "add", ["x", "x"], "w", 0, 0)], 1, live_in=["x"]),),
         result_regs=frozenset(["w", "x"]))
