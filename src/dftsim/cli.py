@@ -16,11 +16,12 @@ the others exactly one), ``--grid``, ``--ffs-per-slice`` and ``--out``.
 
 Exit codes: 0 success, 2 validation or usage error (argparse also exits 2
 for a value it rejects, such as ``--ffs-per-slice 4``), 3
-crash-consistency violation, 4 configuration error (including an
-``--out`` that names a file or a path under one). Output directory
-defaults to $DFTSIM_OUT or cwd. It is created only once the program is
-read, validated and prepared, so a run that exits 2 or 4 leaves no new
-directory.
+crash-consistency violation (stderr names the first diverging register
+and ends with a ``dftsim simulate`` command that reruns the run), 4
+configuration error (including an ``--out`` that names a file or a path
+under one). Output directory defaults to $DFTSIM_OUT or cwd. It is
+created only once the program is read, validated and prepared, so a run
+that exits 2 or 4 leaves no new directory.
 
 ``compare`` writes three CSV files. In ``rollback.csv`` and
 ``ffstores.csv`` each row is one (benchmark, policy, k) cell, in the
@@ -39,7 +40,8 @@ the ``rounds`` runs that ``powersim.run_monte_carlo`` returns for it:
 Every compare cell derives its trace seed as
 ``base_seed XOR sha256(benchmark:policy:k:round)[:8]`` (see
 ``powersim.derive_seed``), so any cell is reproducible standalone via
-``simulate --seed <derived> --outages <k>``.
+``simulate --seed <derived> --outages <k>`` with the cell's source,
+``--policy``, and ``--grid`` and ``--ffs-per-slice``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import argparse
 import csv
 import json
 import os
+import shlex
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
@@ -64,6 +67,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONSISTENCY = 3
 EXIT_CONFIG = 4
+
+GRID = (100, 100)
+FFS_PER_SLICE = 8
 
 
 class ConfigError(Exception):
@@ -147,6 +153,18 @@ def _prepare_source(source: str, grid: Tuple[int, int], ffs_per_slice: int):
     return program, powersim.prepare(program, config)
 
 
+def _simulate_command(source: str, grid: Tuple[int, int], ffs_per_slice: int) -> str:
+    """The start of a ``dftsim simulate`` command line for ``source``, with
+    ``--grid`` and ``--ffs-per-slice`` when they are not the defaults."""
+    kind, _, ref = source.partition(":")
+    words = ["dftsim", "simulate", "--preset" if kind == "preset" else "--program", ref]
+    if grid != GRID:
+        words += ["--grid", f"{grid[0]}x{grid[1]}"]
+    if ffs_per_slice != FFS_PER_SLICE:
+        words += ["--ffs-per-slice", str(ffs_per_slice)]
+    return shlex.join(words)
+
+
 def _check_outages(name: str, k: int, prep) -> None:
     """Outages fire at distinct progress points, so k must stay below the
     program's progress cycles."""
@@ -213,7 +231,8 @@ def cmd_simulate(args) -> int:
     lo, hi = _parse_outages(args.outages)
     if lo != hi:
         raise ConfigError("simulate takes a single outage count")
-    program, prep = _prepare_source(source, _parse_grid(args.grid), args.ffs_per_slice)
+    grid = _parse_grid(args.grid)
+    program, prep = _prepare_source(source, grid, args.ffs_per_slice)
     _check_outages(name, lo, prep)
     trace = powersim.gen_trace(prep.total_cycles, lo, args.seed)
     report = powersim.run(program, powersim.Policy(args.policy), trace, prepared=prep)
@@ -236,7 +255,12 @@ def cmd_simulate(args) -> int:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"{name}/{report.policy}/k={lo}: rollback={report.total_rollback} "
           f"ff_stores={report.ff_stores} consistent={report.consistent}")
-    return EXIT_OK if report.consistent else EXIT_CONSISTENCY
+    if report.consistent:
+        return EXIT_OK
+    command = _simulate_command(source, grid, args.ffs_per_slice)
+    print(f"{name}/{report.policy}/k={lo}: {powersim.divergence(report, command)}",
+          file=sys.stderr)
+    return EXIT_CONSISTENCY
 
 
 @cache
@@ -250,8 +274,8 @@ def _run_cell(job) -> Tuple[Tuple[float, float], Tuple[float, float]]:
     (name, source, policy, k, rounds, base_seed, grid, ffs_per_slice) = job
     program, prep = _worker_prep(source, grid, ffs_per_slice)
     reports = powersim.run_monte_carlo(
-        program, [powersim.Policy(policy)], [k], rounds, base_seed,
-        benchmark=name, prepared=prep)[(policy, k)]
+        program, [powersim.Policy(policy)], [k], rounds, base_seed, benchmark=name,
+        command=_simulate_command(source, grid, ffs_per_slice), prepared=prep)[(policy, k)]
     rollback = [r.total_rollback for r in reports]
     ffs = [r.ff_stores for r in reports]
     return (fmean(rollback), pstdev(rollback)), (fmean(ffs), pstdev(ffs))
@@ -315,8 +339,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="program description JSON")
         p.add_argument("--preset", action="append", metavar="NAME",
                        help=f"built-in benchmark shape ({', '.join(benchgen.PRESETS)})")
-        p.add_argument("--grid", default="100x100", metavar="WxH")
-        p.add_argument("--ffs-per-slice", type=int, choices=(8, 16), default=8)
+        p.add_argument("--grid", default=f"{GRID[0]}x{GRID[1]}", metavar="WxH")
+        p.add_argument("--ffs-per-slice", type=int, choices=(8, 16), default=FFS_PER_SLICE)
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default: $DFTSIM_OUT or .)")
     for p, outages in ((simulate, "K"), (compare, "K|A..B")):

@@ -2,10 +2,20 @@
 
 The register file is a plain list of ints indexed by ``reg_index``.
 ``CompiledRegion.run`` steps any span of a region's unrolled iterations in
-one call to a generated function: registers live in locals and are written
-back once, every op latching in a cycle is computed before any of them is
-written back, and the width masks are folded into constants. The
-function holds the body twice. A guarded copy, in which each latch cycle
+one call to a generated function. A register that some op of the body
+reads lives in a local, loaded when the span starts and, if an op writes
+it, written back when it ends; an op whose output no op of the body
+reads assigns it in the list directly. Every op latching in a cycle is
+computed before any of them is stored.
+
+The kernel relies on one rule: every register holds a value within its
+width. ``new_regfile`` masks the inputs, every op leaves its output
+within the output's width, and the values that ``Prepared.reload``
+writes into lost registers are masked. Each op's width mask is folded
+into a constant, and it is dropped where it cannot change a value: from
+an ``xor`` or a ``pass`` whose inputs are no wider than its output.
+
+The function holds the body twice. A guarded copy, in which each latch cycle
 runs only if it falls inside the requested cycles, steps the partial
 iterations at the head and tail of a span, and the first whole
 iterations. The rest of the whole iterations follow the settle rule
@@ -20,7 +30,7 @@ variant ops alone steps the rest. Every ``benchgen`` body has
 ``S == 1``; its variant ops are 8% to 17% of the op executions of a
 preset.
 
-The generated source numbers a region's registers by local slot, so it
+The generated source numbers a region's registers by slot, so it
 names no register index: a kernel is generated and compiled once per
 distinct body in a process, and on a region's first run it is bound to
 the region's register indices: its compiled code runs in a namespace
@@ -38,19 +48,9 @@ from typing import Dict, Iterable, List, Mapping
 
 KERNEL_NAME = "python"
 
-_U32 = 0xFFFFFFFF
-
-# Value of each opcode, from its input register indices, with the output
-# mask folded in; the mask is at most 32 bits, so it subsumes the 32-bit
-# wrap.
-_EXPR = {
-    "const": "{k}",
-    "pass": "r{0} & {m}",
-    "add": "(r{0} + r{1}) & {m}",
-    "sub": "(r{0} - r{1}) & {m}",
-    "mul": "(r{0} * r{1}) & {m}",
-    "xor": "(r{0} ^ r{1}) & {m}",
-}
+# The infix operator of each two-input opcode; ``const`` and ``pass`` have
+# none.
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "xor": "^"}
 
 
 class CompiledRegion:
@@ -81,9 +81,9 @@ class CompiledRegion:
     def _generate(self):
         """Return ``span(regs, lo, hi)`` bound to this region's registers.
 
-        Registers are numbered by local slot in order of first use, and the
-        source loads and writes back ``regs[iK]``, where the global ``iK``
-        holds the register index of slot K. Regions with the same body thus
+        Registers are numbered by slot in order of first use, and the
+        source reads and writes ``regs[iK]``, where the global ``iK`` holds
+        the register index of slot K. Regions with the same body thus
         have the same source, compiled once; binding a region runs that code
         in a namespace that maps each ``iK`` to its index.
         """
@@ -95,19 +95,23 @@ class CompiledRegion:
     def _source(self):
         """The kernel's source text and its register slots.
 
-        Each cycle's latch group becomes one tuple assignment, so every
-        right-hand side reads the pre-edge values. A span that starts
-        mid-iteration, or ends within its first iteration, runs the
-        guarded copy over [lo, min(hi, L)); so do the first ``S`` whole
-        iterations (the settle depth, see ``_settle``), which ``f``
-        counts down. Later whole iterations run the variant ops alone (a
-        latch group that mixes both keeps only its variant members), and
-        a partial tail runs the guarded copy again over [0, hi % L).
-        A body with ``S == 0`` has no invariant op, or writes a register
-        twice, and runs every op in every whole iteration. Running the
-        first whole iterations guarded, rather than through a third,
-        unguarded copy, keeps the source short: compiling it is most of
-        what a kernel costs a run.
+        A register that an op of the body reads gets a local; an op
+        writing any other register assigns ``regs[iK]``. Masks are
+        constants, left out of an ``xor`` or ``pass`` whose inputs are no
+        wider than its output, by the in-width rule. Each cycle's latch
+        group becomes one tuple assignment, so every right-hand side reads
+        the pre-edge values. A span that starts mid-iteration, or ends
+        within its first iteration, runs the guarded copy over
+        [lo, min(hi, L)); so do the first ``S`` whole iterations (the
+        settle depth, see ``_settle``), which ``f`` counts down. Later
+        whole iterations run the variant ops alone (a latch group that
+        mixes both keeps only its variant members), and a partial tail
+        runs the guarded copy again over [0, hi % L). A body with
+        ``S == 0`` has no invariant op, or writes a register twice, and
+        runs every op in every whole iteration. Running the first whole
+        iterations guarded, rather than through a third, unguarded copy,
+        keeps the source short: compiling it is most of what a kernel
+        costs a run.
         """
         L = self.body_length
         ops = [op for op in self._ops if 0 <= op.end < L]
@@ -116,30 +120,60 @@ class CompiledRegion:
         for i, op in enumerate(ops):
             by_end.setdefault(op.end, []).append(i)
         widths = self._widths
+        read = {r for op in ops for r in op.inputs}     # membership only
+        # A guarded span may skip a register's writer, so every local is
+        # loaded first, the written-back ones too; a register that no op
+        # reads has no local, and a skipped writer leaves it in ``regs``.
+        loads = ["def span(regs, lo, hi):"]
+        stores = []
         slot: Dict[str, int] = {}
+
+        def local(reg):
+            s = slot.get(reg)
+            if s is None:
+                s = slot[reg] = len(slot)
+                loads.append(f"    r{s} = regs[i{s}]")
+            return f"r{s}"
+
         guarded, variant = [], []
         for c in sorted(by_end):
-            targets, values, moving = [], [], []
+            targets, values, moving_targets, moving_values = [], [], [], []
             for i in by_end[c]:
                 op = ops[i]
-                m = (1 << widths.get(op.output, 32)) - 1
-                ins = [slot.setdefault(r, len(slot)) for r in op.inputs]
-                targets.append(f"r{slot.setdefault(op.output, len(slot))}")
-                values.append(_EXPR[op.opcode].format(*ins, m=m, k=op.value & _U32 & m))
+                out, ins, code = op.output, op.inputs, op.opcode
+                w = widths.get(out, 32)
+                m = (1 << w) - 1        # at most 32 bits, so it holds the 32-bit wrap
+                if code == "const":
+                    value = str(op.value & m)
+                elif code == "pass":
+                    value = local(ins[0])
+                    if widths.get(ins[0], 32) > w:
+                        value = f"{value} & {m}"
+                elif code == "xor":
+                    value = f"{local(ins[0])} ^ {local(ins[1])}"
+                    if widths.get(ins[0], 32) > w or widths.get(ins[1], 32) > w:
+                        value = f"({value}) & {m}"
+                else:       # ``&`` binds looser than ``+``, ``-`` and ``*``
+                    value = f"{local(ins[0])} {_INFIX[code]} {local(ins[1])} & {m}"
+                if out in read:
+                    target = local(out)
+                    stores.append(f"    regs[i{slot[out]}] = {target}")
+                else:
+                    target = f"regs[i{slot.setdefault(out, len(slot))}]"
+                targets.append(target)
+                values.append(value)
                 if not levels[i]:
-                    moving.append(len(values) - 1)
+                    moving_targets.append(target)
+                    moving_values.append(value)
             latch = f"{', '.join(targets)} = {', '.join(values)}"
             guarded.append(f"            if lo <= {c} < e: {latch}")
-            if len(moving) == len(values):
+            if len(moving_values) == len(values):
                 variant.append(f"                {latch}")
-            elif moving:
-                variant.append(f"                {', '.join(targets[k] for k in moving)} = "
-                               f"{', '.join(values[k] for k in moving)}")
+            elif moving_values:
+                variant.append(f"                {', '.join(moving_targets)} = "
+                               f"{', '.join(moving_values)}")
 
-        # A guarded span may skip a register's writer, so every register
-        # written back is loaded first.
-        lines = ["def span(regs, lo, hi):"]
-        lines += [f"    r{s} = regs[i{s}]" for s in range(len(slot))]
+        lines = loads
         if settle:
             lines.append(f"    f = {settle}")
         lines += ["    while True:",
@@ -158,8 +192,8 @@ class CompiledRegion:
             lines += [f"            for _ in range(hi // {L}):", *variant]
         lines += [f"            hi %= {L}",
                   "            if not hi:",
-                  "                break"]
-        lines += [f"    regs[i{s}] = r{s}" for s in sorted({slot[op.output] for op in ops})]
+                  "                break",
+                  *stores]
         return "\n".join(lines), slot
 
 
@@ -212,9 +246,11 @@ def _settle(ops):
 # that holds it), so a small bound keeps every reuse.
 @lru_cache(maxsize=128)
 def _compile(source: str):
-    """Compile a kernel's source once per text. The text holds every mask,
-    constant, opcode, cycle and body length of a kernel, so equal texts
-    are equal kernels."""
+    """Compile a kernel's source once per text. The text holds every kept
+    mask, constant, opcode, cycle and body length of a kernel, and which
+    slots have locals, so equal texts are equal kernels. A dropped mask
+    leaves its inputs' widths out of the text, so bodies that differ only
+    there share a kernel; by the in-width rule they step alike."""
     return compile(source, "<kernel>", "exec")
 
 

@@ -587,9 +587,23 @@ def derive_seed(base_seed: int, benchmark: str, policy: str, outages: int,
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
 
 
+def divergence(report: SimulationReport, command: str) -> str:
+    """Say where an inconsistent report first left the reference: the
+    first diverging register in sorted order, both values, and the
+    ``command`` (such as ``dftsim simulate --preset aes``) completed with
+    the run's policy, outage count and trace seed."""
+    got, want = report.final_state, report.reference_state
+    reg = min(x for x in got.keys() | want.keys() if got.get(x) != want.get(x))
+    seed = report.trace.seed
+    return (f"final state diverged from reference at {reg}: expected "
+            f"{want.get(reg)}, got {got.get(reg)} (trace seed {seed}); reproduce with "
+            f"{command} --policy {report.policy} --outages {len(report.trace.points)} "
+            f"--seed {seed}")
+
+
 def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
                     k_values: Sequence[int], rounds: int, base_seed: int, *,
-                    benchmark: str = "program",
+                    benchmark: str = "program", command: str = "dftsim simulate",
                     prepared: Prepared
                     ) -> Dict[Tuple[str, int], Tuple[SimulationReport, ...]]:
     """Run ``rounds`` seeded independent traces of ``prepared.program``
@@ -598,8 +612,9 @@ def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
     Returns each cell's reports in round order, keyed by (policy name, k).
     Every cell is reproducible standalone: its trace seed comes from
     ``derive_seed`` and nothing else. Raises ConsistencyError if any run
-    diverges from the reference execution, naming the first diverging
-    register in sorted order, both values and the trace seed.
+    diverges from the reference execution, with its ``divergence`` text;
+    ``command`` starts the repro command, so a caller that knows the
+    program's source names it there.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -612,15 +627,8 @@ def run_monte_carlo(program: ScheduledProgram, policies: Sequence[Policy],
                 trace = gen_trace(prepared.total_cycles, k, seed)
                 report = run(program, pol, trace, prepared=prepared)
                 if not report.consistent:
-                    got, want = report.final_state, report.reference_state
-                    reg = min(x for x in got.keys() | want.keys()
-                              if got.get(x) != want.get(x))
-                    raise ConsistencyError(
-                        f"{benchmark}/{pol.name}/k={k}/round={r}: final state "
-                        f"diverged from reference at {reg}: expected "
-                        f"{want.get(reg)}, got {got.get(reg)} (trace seed {seed}; "
-                        f"reproduce with simulate --policy {pol.name} "
-                        f"--outages {k} --seed {seed})")
+                    raise ConsistencyError(f"{benchmark}/{pol.name}/k={k}/round={r}: "
+                                           f"{divergence(report, command)}")
                 reports.append(report)
             cells[(pol.name, k)] = tuple(reports)
     return cells

@@ -1,6 +1,8 @@
 """Exit codes of the command-line front end."""
 
 import json
+import re
+import shlex
 
 import pytest
 
@@ -424,3 +426,53 @@ def test_a_failing_command_makes_no_out_directory(argv, code, tmp_path):
     argv = [str(bad) if a == "{bad}" else a for a in argv]
     assert cli.main(argv + ["--out", str(out)]) == code
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def corrupt_cp_runs(monkeypatch):
+    """Flip one bit of the last register of every ``cp`` run with an
+    outage, so that ``compare`` and ``simulate`` see the same divergence."""
+    run = powersim.run
+
+    def corrupting(program, policy, trace, *, prepared):
+        report = run(program, policy, trace, prepared=prepared)
+        if policy.name == "cp" and trace.points:
+            reg = max(report.final_state)
+            report.final_state = {**report.final_state, reg: report.final_state[reg] ^ 1}
+        return report
+
+    monkeypatch.setattr(powersim, "run", corrupting)
+
+
+@pytest.mark.parametrize("options, shown", [
+    ([], []),
+    (["--grid", "60x50", "--ffs-per-slice", "16"], ["--grid", "60x50", "--ffs-per-slice", "16"]),
+    (["--grid", "100X100", "--ffs-per-slice", "8"], []),
+])
+@pytest.mark.parametrize("kind", ["preset", "program"])
+def test_an_inconsistent_run_prints_a_command_that_reproduces_it(kind, options, shown,
+                                                                 two_loop_path, tmp_path,
+                                                                 monkeypatch, capsys):
+    corrupt_cp_runs(monkeypatch)
+    source = ["--preset", "struct"] if kind == "preset" else ["--program", str(two_loop_path)]
+    out = ["--out", str(tmp_path / "out")]
+    argv = ["compare", *source, *options, "--policy", "dft", "--policy", "cp",
+            "--outages", "0..2", "--rounds", "2", "--seed", "5", *out]
+    assert cli.main(argv) == cli.EXIT_CONSISTENCY
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    case, _, text = err.partition(": ")
+    reg = re.match(r"final state diverged from reference at (\S+): ", text).group(1)
+    command = shlex.split(text.rpartition("reproduce with ")[2])
+    name = "struct" if kind == "preset" else "twoloop"
+    seed = powersim.derive_seed(5, name, "cp", 1, 0)
+    assert case == f"{name}/cp/k=1/round=0"
+    assert command == ["dftsim", "simulate", *source, *shown,
+                       "--policy", "cp", "--outages", "1", "--seed", str(seed)]
+
+    assert cli.main(command[1:] + out) == cli.EXIT_CONSISTENCY
+    lines = capsys.readouterr()
+    assert lines.out.endswith("consistent=False\n")
+    case, _, again = lines.err.partition(": ")
+    assert case == f"{name}/cp/k=1"
+    assert again == text
+    assert f"at {reg}: " in again

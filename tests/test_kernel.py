@@ -22,6 +22,7 @@ non-zero index offset.
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 from dftsim import benchgen, engine
 from dftsim.program import (
     STRAIGHT,
+    _ARITY,
     FunctionSchedule,
     Region,
     ScheduledProgram,
@@ -344,7 +346,7 @@ def small_bodies(draw):
     outputs = draw(st.lists(st.sampled_from(REGS), min_size=1, max_size=6, unique=True))
     ops = []
     for i, out in enumerate(outputs):
-        opcode = draw(st.sampled_from(sorted(engine._EXPR)))
+        opcode = draw(st.sampled_from(sorted(_ARITY)))
         arity = {"const": 0, "pass": 1}.get(opcode, 2)
         inputs = draw(st.lists(st.sampled_from(REGS), min_size=arity, max_size=arity))
         end = draw(st.integers(0, L - 1))
@@ -363,11 +365,101 @@ def test_random_small_bodies(region, cuts, seed):
     check_span_from_any_state(region, seed % L, 1 + seed % (4 * L), seed)
 
 
+def kernel_programs():
+    """The presets and ``random_small_shape`` seeds 0-4: the kinds of body
+    that ``paper-grid`` and ``crash-sweep`` run."""
+    out = [benchgen.preset_program(name) for name in benchgen.PRESETS]
+    return out + [benchgen.generate(benchgen.random_small_shape(s)) for s in range(5)]
+
+
+LOAD = re.compile(r"    r(\d+) = regs\[i(\d+)\]")
+STORE = re.compile(r"    regs\[i(\d+)\] = r(\d+)")
+
+
+def check_kernel_form(region, widths):
+    """A kernel loads exactly the registers that an op of the body reads,
+    writes back exactly those that an op both writes and reads, and names
+    a register that no op reads only as a ``regs[iK]`` target."""
+    kernel = engine.CompiledRegion(region.ops, region.body_length, {}, widths)
+    source, slot = kernel._source()
+    ops = [o for o in region.ops if 0 <= o.end < region.body_length]
+    read = {r for o in ops for r in o.inputs}
+    lines = source.split("\n")
+    loads = [LOAD.fullmatch(line).groups() for line in lines if LOAD.fullmatch(line)]
+    stores = [STORE.fullmatch(line).groups() for line in lines if STORE.fullmatch(line)]
+    assert all(a == b for a, b in loads + stores)
+    assert sorted(int(a) for a, _ in loads) == sorted(slot[r] for r in read)
+    assert {int(a) for a, _ in stores} == {slot[o.output] for o in ops if o.output in read}
+    assert lines[1:1 + len(loads)] == [f"    r{s} = regs[i{s}]" for s in sorted(
+        slot[r] for r in read)]
+    for reg in {o.output for o in ops} - read:
+        s = slot[reg]
+        assert not re.search(rf"\br{s}\b", source), reg
+        for line in lines:
+            if f"regs[i{s}]" in line:
+                lhs, _, rhs = line.split(": ")[-1].strip().partition(" = ")
+                assert f"regs[i{s}]" in lhs.split(", ") and f"i{s}" not in rhs, line
+    return source
+
+
+def test_kernels_load_and_write_back_only_registers_the_body_reads():
+    never_read = 0
+    for program in kernel_programs():
+        widths = _widths_map(program)
+        for f in program.functions:
+            check_kernel_form(f.region, widths)
+            never_read += len({o.output for o in f.region.ops}
+                              - {r for o in f.region.ops for r in o.inputs})
+    assert never_read
+    # v is variant and never read, so the variant-only loop stores it
+    source = check_kernel_form(mixed_group_region(), mixed_group_region().reg_widths)
+    assert "                regs[i" in source
+
+
+def narrowing_region():
+    # n reads a 12-bit register into 4 bits and x an 8-bit and a 16-bit one
+    # into 8 bits, so both keep their masks; y and z read no wider inputs
+    # and drop theirs; w and h change from one iteration to the next, and
+    # no op reads z
+    ops = (op("n", "pass", ["w"], "n", 0, 0),
+           op("x", "xor", ["b", "h"], "x", 1, 1),
+           op("y", "xor", ["b", "n"], "y", 1, 1),
+           op("z", "pass", ["n"], "z", 1, 1),
+           op("w", "add", ["w", "x"], "w", 2, 2),
+           op("h", "mul", ["h", "y"], "h", 2, 2))
+    widths = {"w": 12, "n": 4, "b": 8, "h": 16, "x": 8, "y": 8, "z": 5}
+    return Region(kind="loop", iterations=6, body_length=3,
+                  live_in=("w", "b", "h"), ops=ops, reg_widths=widths)
+
+
+def test_a_mask_that_can_change_a_value_is_kept():
+    region = narrowing_region()
+    assert validate(one_region_program(region)) == []
+    kernel = engine.CompiledRegion(region.ops, 3, {}, region.reg_widths)
+    source, slot = kernel._source()
+    n, w, b, h, x, y = (f"r{slot[reg]}" for reg in "nwbhxy")
+    assert f"if lo <= 0 < e: {n} = {w} & 15" in source
+    assert (f"if lo <= 1 < e: {x}, {y}, regs[i{slot['z']}] = "
+            f"({b} ^ {h}) & 255, {b} ^ {n}, {n}") in source
+    check_settle(region)
+
+
+def test_a_body_that_reads_none_of_its_outputs():
+    ops = (op("x", "add", ["a", "b"], "x", 0, 0),
+           op("y", "xor", ["a", "b"], "y", 1, 2),
+           op("z", "pass", ["b"], "z", 2, 2),
+           op("c", "const", [], "c", 1, 1, value=0xFFFF_FFFF))
+    region = Region(kind="loop", iterations=5, body_length=3, live_in=("a", "b"), ops=ops,
+                    reg_widths={"a": 7, "b": 9, "x": 6, "y": 9, "z": 3, "c": 5})
+    source = check_kernel_form(region, region.reg_widths)
+    assert not STORE.search(source)
+    check_settle(region)
+
+
 def preset_sources():
-    """A digest of every preset body's kernel source."""
+    """A digest of the kernel source of every body of ``kernel_programs``."""
     h = hashlib.sha256()
-    for name in benchgen.PRESETS:
-        program = benchgen.preset_program(name)
+    for program in kernel_programs():
         for kernel in compile_program(program).regions.values():
             h.update(kernel._source()[0].encode())
     return h.hexdigest()
