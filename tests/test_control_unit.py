@@ -52,6 +52,41 @@ def test_serialize_table_layout():
         ((300, 2),), (), ((0, 0), (1, 0)), ((1, 0),)]
 
 
+def decode_table(blob, grid_w):
+    """The SLICE mask of every directory row of a ``serialize_table`` blob,
+    in directory order."""
+    rows, pool = struct.unpack_from("<II", blob, 0)
+    base = 8 + 4 * rows
+    assert len(blob) == base + 4 * pool
+    masks = []
+    for i in range(rows):
+        start, length = struct.unpack_from("<HH", blob, 8 + 4 * i)
+        mask = 0
+        for j in range(start, start + length):
+            x, y = struct.unpack_from("<HH", blob, base + 4 * j)
+            mask |= 1 << (y * grid_w + x)
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("name", (*benchgen.PRESETS, "fork-join"))
+def test_the_binary_table_decodes_to_its_rows(name):
+    # tracker region first, then per function in program order its rows
+    # for status 0 up to its highest status, then its result row
+    program = (fork_join_program() if name == "fork-join"
+               else transform.normalize(benchgen.preset_program(name)))
+    prep = powersim.prepare(program)
+    table = prep.table
+    expected = [table.tracker_region]
+    for f in program.functions:
+        spec = prep.specs[f.id]
+        top = spec.body_length if spec.mode == TRACKED else 1
+        expected += [table.row(f.id, s) for s in range(top + 1)]
+        expected.append(table.result_row(f.id))
+    assert decode_table(serialize_table(table), table.grid_w) == expected
+    assert table.n_rows == len(expected)
+
+
 def test_lookup_stores_the_tracker_region_and_nonzero_rows():
     table = small_table()
     assert lookup(table, {"f": 0}) == at(300, 2)

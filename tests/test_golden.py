@@ -97,13 +97,17 @@ def sweep_rows():
     return rows
 
 
-def dense_reports():
-    """(program name, k, report) of each dense run."""
+def dense_programs():
+    """(program name, normalized program) of each dense run's program."""
     programs = [(name, transform.normalize(benchgen.preset_program(name)))
                 for name in DENSE_PRESETS]
-    programs += [("two-chain", transform.normalize(two_chain_program())),
-                 ("fork-join", fork_join_program())]
-    for name, program in programs:
+    return programs + [("two-chain", transform.normalize(two_chain_program())),
+                       ("fork-join", fork_join_program())]
+
+
+def dense_reports():
+    """(program name, k, report) of each dense run."""
+    for name, program in dense_programs():
         prep = powersim.prepare(program)
         k = prep.total_cycles // 5
         for pol in powersim.POLICY_NAMES:
@@ -140,6 +144,29 @@ def test_dense_outage_records_golden(dense):
                    o.slices_stored]
                   for name, _, report in dense for o in report.outages) \
         == OUTAGE_RECORDS_DIGEST
+
+
+def test_report_totals_match_the_outage_records(dense):
+    programs = dict(dense_programs())
+    for name, _, report in dense:
+        outages = report.outages
+        rollbacks = tuple(o.rollback for o in outages)
+        slices = sum(o.slices_stored for o in outages)
+        assert report.per_outage_rollback == rollbacks, (name, report.policy)
+        assert report.total_rollback == sum(rollbacks), (name, report.policy)
+        assert report.slice_store_events == slices, (name, report.policy)
+        if report.policy == powersim.CP:
+            # one checkpoint per function completion, whatever the trace
+            program = programs[name]
+            widths = {reg: w for f in program.functions
+                      for reg, w in f.region.reg_widths.items()}
+            results = [reg for f in program.functions for reg in f.result_regs]
+            assert report.ff_stores == sum(widths.get(reg, 32) for reg in results), name
+            assert report.store_cost_cycles == len(results), name
+        else:
+            assert report.ff_stores == sum(o.ff_stored for o in outages), \
+                (name, report.policy)
+            assert report.store_cost_cycles == slices, (name, report.policy)
 
 
 @pytest.mark.parametrize("ffs_per_slice,grid", sorted(ANALYZE_DIGESTS))
