@@ -13,6 +13,8 @@ the others exactly one), ``--grid``, ``--ffs-per-slice`` and ``--out``.
 ``--policy`` (one for ``simulate``, default ``dft``; any number for
 ``compare``, default all); ``compare`` alone takes ``--rounds`` and
 ``--jobs``. An option that a command does not take is a usage error.
+``compare`` names each source's rows by its preset or file stem, so two
+sources of one name, or a repeated policy, are a configuration error.
 
 Exit codes: 0 success, 2 validation or usage error (argparse also exits 2
 for a value it rejects, such as ``--ffs-per-slice 4``), 3
@@ -114,6 +116,27 @@ def _load_sources(args) -> List[Tuple[str, str]]:
     return out
 
 
+def _check_distinct(sources: Sequence[Tuple[str, str]], policies: Sequence[str]) -> None:
+    """``compare`` rows and trace seeds are keyed by benchmark name and
+    policy, so neither may repeat."""
+    seen = {}
+    for name, source in sources:
+        if name in seen:
+            raise ConfigError(f"benchmark name '{name}' is given twice, by "
+                              f"{shlex.join(_option(seen[name]))} and "
+                              f"{shlex.join(_option(source))}")
+        seen[name] = source
+    for i, policy in enumerate(policies):
+        if policy in policies[:i]:
+            raise ConfigError(f"--policy {policy} is given twice")
+
+
+def _option(source: str) -> List[str]:
+    """The option that names ``source``, such as ``--preset aes``."""
+    kind, _, ref = source.partition(":")
+    return ["--preset" if kind == "preset" else "--program", ref]
+
+
 def _one_source(args) -> Tuple[str, str]:
     sources = _load_sources(args)
     if len(sources) != 1:
@@ -156,8 +179,7 @@ def _prepare_source(source: str, grid: Tuple[int, int], ffs_per_slice: int):
 def _simulate_command(source: str, grid: Tuple[int, int], ffs_per_slice: int) -> str:
     """The start of a ``dftsim simulate`` command line for ``source``, with
     ``--grid`` and ``--ffs-per-slice`` when they are not the defaults."""
-    kind, _, ref = source.partition(":")
-    words = ["dftsim", "simulate", "--preset" if kind == "preset" else "--program", ref]
+    words = ["dftsim", "simulate", *_option(source)]
     if grid != GRID:
         words += ["--grid", f"{grid[0]}x{grid[1]}"]
     if ffs_per_slice != FFS_PER_SLICE:
@@ -284,6 +306,7 @@ def _run_cell(job) -> Tuple[Tuple[float, float], Tuple[float, float]]:
 def cmd_compare(args) -> int:
     sources = _load_sources(args)
     policies = args.policy or list(powersim.POLICY_NAMES)
+    _check_distinct(sources, policies)
     lo, hi = _parse_outages(args.outages)
     if args.rounds < 1:
         raise ConfigError(f"bad --rounds {args.rounds} (need at least 1)")

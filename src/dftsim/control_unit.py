@@ -21,6 +21,7 @@ no BRAM, which is what synthesis does to small lookup structures.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Mapping, Tuple
 
 import struct
@@ -43,37 +44,32 @@ class UnplacedRegisterError(ControlUnitError):
 
 
 class ControlUnitTable(Record):
-    __slots__ = ("tracker_region", "offsets", "rows", "status_rows", "result_rows",
-                 "table_width", "grid_w")
-
-    def __init__(self, tracker_region: int, offsets: Dict[str, int], rows: Tuple[int, ...],
-                 status_rows: Dict[str, int], result_rows: Dict[str, int],
-                 table_width: int, grid_w: int):
-        self.tracker_region = tracker_region    # SLICE mask
-        self.offsets = offsets                  # tracker -> base row index
-        self.rows = rows                        # global row list, SLICE masks
-        self.status_rows = status_rows          # tracker -> highest valid status
-        self.result_rows = result_rows          # tracker -> result-hold row index
-        self.table_width = table_width          # widest tracked counter, 0 if none
-        self.grid_w = grid_w                    # grid width of the SLICE masks
+    __slots__ = ("tracker_region",  # SLICE mask
+                 # tracker -> its rows in table order, SLICE masks: the zero
+                 # row, one row per status, then the result-hold row
+                 "blocks",
+                 "table_width",     # widest tracked counter, 0 if none
+                 "grid_w")          # grid width of the SLICE masks
 
     def row(self, fid: str, status: int) -> int:
-        hi = self.status_rows[fid]
-        if not 0 <= status <= hi:
+        block = self.blocks[fid]
+        if not 0 <= status < len(block) - 1:
             raise ControlUnitError(
-                f"corrupt status {status} for {fid}: row range is [0, {hi}]")
-        return self.rows[self.offsets[fid] + status]
+                f"corrupt status {status} for {fid}: row range is [0, {len(block) - 2}]")
+        return block[status]
 
     def result_row(self, fid: str) -> int:
-        return self.rows[self.result_rows[fid]]
+        return self.blocks[fid][-1]
 
     @property
     def n_rows(self) -> int:
-        return 1 + len(self.rows)  # tracker region directory entry + rows
+        # tracker region directory entry + rows
+        return 1 + sum(map(len, self.blocks.values()))
 
     @property
     def pool_entries(self) -> int:
-        return self.tracker_region.bit_count() + sum(r.bit_count() for r in self.rows)
+        return self.tracker_region.bit_count() + sum(
+            row.bit_count() for block in self.blocks.values() for row in block)
 
     @property
     def total_bits(self) -> int:
@@ -104,34 +100,23 @@ def build_table(program: ScheduledProgram, specs: Mapping[str, TrackerSpec],
     for mask in placement.trackers.values():
         tracker_region |= mask
 
-    rows: List[int] = []
-    offsets: Dict[str, int] = {}
-    status_rows: Dict[str, int] = {}
-    result_rows: Dict[str, int] = {}
+    blocks: Dict[str, Tuple[int, ...]] = {}
     width = 0
     for f in program.functions:
         spec = specs[f.id]
         table = live_tables[f.id]
-        offsets[f.id] = len(rows)
-        rows.append(0)  # zero row: no action
         if spec.mode == TRACKED:
             width = max(width, spec.width)
-            for status in range(1, spec.body_length + 1):
-                rows.append(slices_of(table.live[table.resume[status - 1]]))
-            status_rows[f.id] = spec.body_length
+            rows = [slices_of(table.live[table.resume[status - 1]])
+                    for status in range(1, spec.body_length + 1)]
         else:
             region = f.region
-            all_regs = set(region.written_regs()) | set(region.live_in)
-            rows.append(slices_of(all_regs))
-            status_rows[f.id] = 1
-        result_rows[f.id] = len(rows)
-        rows.append(slices_of(f.result_regs))
+            rows = [slices_of(set(region.written_regs()) | set(region.live_in))]
+        # the zero row (no action), the status rows, the result row
+        blocks[f.id] = (0, *rows, slices_of(f.result_regs))
 
-    return ControlUnitTable(
-        tracker_region=tracker_region,
-        offsets=offsets, rows=tuple(rows),
-        status_rows=status_rows, result_rows=result_rows,
-        table_width=width, grid_w=placement.grid_w)
+    return ControlUnitTable(tracker_region=tracker_region, blocks=blocks,
+                            table_width=width, grid_w=placement.grid_w)
 
 
 def lookup(table: ControlUnitTable, statuses: Mapping[str, int]) -> int:
@@ -166,7 +151,7 @@ def serialize_table(table: ControlUnitTable) -> bytes:
     """
     pool: List[Tuple[int, int]] = []
     directory: List[Tuple[int, int]] = []
-    for row in (table.tracker_region,) + table.rows:
+    for row in (table.tracker_region, *chain.from_iterable(table.blocks.values())):
         addrs = sorted(slice_xy(row, table.grid_w))
         directory.append((len(pool), len(addrs)))
         pool.extend(addrs)

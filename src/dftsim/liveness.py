@@ -13,7 +13,7 @@ that exhaustively with a brute-force restore-replay oracle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .placement import tracker_resources
 from .program import ProgramError, Record, Region, _widths_map
@@ -34,24 +34,17 @@ class UntrackableLength(ProgramError):
 
 
 class LiveSetTable(Record):
-    __slots__ = ("body_length", "live", "resume")
-
-    def __init__(self, body_length: int, live: Tuple[frozenset, ...],
-                 resume: Tuple[int, ...]):
-        self.body_length = body_length
-        self.live = live          # index n: registers to preserve at cycle n
-        self.resume = resume      # index n: r(n)
+    __slots__ = ("body_length",
+                 "live",        # index n: registers to preserve at cycle n
+                 "resume")      # index n: r(n)
 
 
 class TrackerSpec(Record):
-    __slots__ = ("iterations", "body_length", "width", "mode", "ffs")
-
-    def __init__(self, iterations: int, body_length: int, width: int, mode: str, ffs: int):
-        self.iterations = iterations      # loop arbitration bound
-        self.body_length = body_length    # counter wrap bound
-        self.width = width                # counter bit width
-        self.mode = mode                  # TRACKED or STORE_ALL
-        self.ffs = ffs                    # flip-flops placement gives the tracker
+    __slots__ = ("iterations",      # loop arbitration bound
+                 "body_length",     # counter wrap bound
+                 "width",           # counter bit width
+                 "mode",            # TRACKED or STORE_ALL
+                 "ffs")             # flip-flops placement gives the tracker
 
     @property
     def max_cycles(self) -> int:

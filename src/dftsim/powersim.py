@@ -100,9 +100,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import random
 
 from . import tracker as trk
-from .control_unit import ControlUnitTable, bram_usage, build_table, lookup
-from .liveness import LiveSetTable, TrackerSpec, live_sets, plan_trackers
-from .placement import Placement, assign_slices
+from .control_unit import bram_usage, build_table, lookup
+from .liveness import live_sets, plan_trackers
+from .placement import assign_slices
 from .program import (
     ProgramError,
     Record,
@@ -170,25 +170,20 @@ class OutageRecord(Record):
 
 
 class SimulationReport(Record):
-    __slots__ = ("policy", "trace", "total_rollback", "per_outage_rollback", "ff_stores",
-                 "bram_count", "slice_store_events", "store_cost_cycles",
+    __slots__ = ("policy", "trace", "ff_stores", "bram_count", "store_cost_cycles",
                  "wall_progress_cycles", "final_state", "reference_state", "outages")
 
-    def __init__(self, policy: str, trace: PowerTrace, total_rollback: int,
-                 per_outage_rollback: Tuple[int, ...], ff_stores: int, bram_count: int,
-                 slice_store_events: int, store_cost_cycles: int, wall_progress_cycles: int,
+    def __init__(self, policy: str, trace: PowerTrace, ff_stores: int, bram_count: int,
+                 store_cost_cycles: int, wall_progress_cycles: int,
                  final_state: Dict[str, int], reference_state: Dict[str, int],
                  outages: Tuple[OutageRecord, ...]):
         self.policy = policy
         self.trace = trace
-        self.total_rollback = total_rollback                # cycles, summed over the outages
-        self.per_outage_rollback = per_outage_rollback      # cycles per outage
         # Flip-flops stored over the run: at each outage for dft (whole
         # occupied SLICEs) and fullchip (every SLICE of the grid), at each
         # function completion for cp (its result registers).
         self.ff_stores = ff_stores
         self.bram_count = bram_count                        # 18 Kb block RAMs
-        self.slice_store_events = slice_store_events        # SLICEs stored, summed over the outages
         # Store latency in cycles: 1 per stored SLICE for dft and fullchip,
         # 1 per result word for cp.
         self.store_cost_cycles = store_cost_cycles
@@ -196,6 +191,21 @@ class SimulationReport(Record):
         self.final_state = final_state
         self.reference_state = reference_state
         self.outages = outages
+
+    @property
+    def total_rollback(self) -> int:
+        """Roll-back cycles, summed over the outages."""
+        return sum(o.rollback for o in self.outages)
+
+    @property
+    def per_outage_rollback(self) -> Tuple[int, ...]:
+        """Roll-back cycles of each outage."""
+        return tuple(o.rollback for o in self.outages)
+
+    @property
+    def slice_store_events(self) -> int:
+        """SLICEs stored, summed over the outages."""
+        return sum(o.slices_stored for o in self.outages)
 
     @property
     def consistent(self) -> bool:
@@ -212,17 +222,8 @@ class RunState(Record):
     assigns its fields after it is built.
     """
 
-    __slots__ = ("position", "regs", "trackers", "running", "done", "candidates")
-
-    def __init__(self, position: int, regs: Tuple[int, ...],
-                 trackers: Dict[str, trk.TrackerState], running: Tuple[str, ...],
-                 done: Tuple[str, ...], candidates: Tuple[str, ...]):
-        self.position = position
-        self.regs = regs
-        self.trackers = trackers
-        self.running = running
-        self.done = done
-        self.candidates = candidates    # functions to check for a start next
+    __slots__ = ("position", "regs", "trackers", "running", "done",
+                 "candidates")      # functions to check for a start next
 
 
 _POSITION = attrgetter("position")
@@ -232,51 +233,29 @@ _REMAINING = attrgetter("remaining")
 class Prepared(Record):
     """Everything an intermittent run needs, built once per program."""
 
-    __slots__ = ("program", "config", "specs", "live_tables", "placement", "table",
-                 "compiled", "reference", "total_cycles", "result_ffs", "order", "preds",
-                 "succs", "after", "reload", "written", "results", "final_regs",
-                 "reg_slices", "brams", "start", "first_completion", "states")
-
-    def __init__(self, program: ScheduledProgram, config: SimConfig,
-                 specs: Dict[str, TrackerSpec], live_tables: Dict[str, LiveSetTable],
-                 placement: Placement, table: ControlUnitTable, compiled: object,
-                 reference: Dict[str, int], total_cycles: int, result_ffs: int,
-                 order: Tuple[str, ...], preds: Dict[str, Tuple[str, ...]],
-                 succs: Dict[str, Tuple[str, ...]], after: Dict[str, int],
-                 reload: Tuple[int, ...], written: Dict[str, Tuple[int, ...]],
-                 results: Dict[str, Tuple[int, ...]], final_regs: Tuple[Tuple[str, int], ...],
-                 reg_slices: Tuple[Tuple[int, int], ...], brams: Dict[str, int],
-                 start: RunState, first_completion: int,
-                 states: Optional[Tuple[RunState, ...]] = None):
-        self.program = program
-        self.config = config
-        self.specs = specs
-        self.live_tables = live_tables
-        self.placement = placement
-        self.table = table
-        self.compiled = compiled
-        self.reference = reference
-        self.total_cycles = total_cycles
-        self.result_ffs = result_ffs    # result-register FFs summed over functions
-        self.order = order              # topological order
-        self.preds = preds
-        self.succs = succs
-        self.after = after      # longest dependency path of work after a function
+    __slots__ = (
+        "program", "specs", "live_tables", "placement", "table", "compiled", "reference",
+        "total_cycles",
+        "cp_stores",        # (FFs, result words) that cp stores per run
+        "fullchip_stores",  # (FFs, SLICEs) that fullchip stores per outage
+        "order",            # topological order
+        "preds", "succs",
+        "after",            # longest dependency path of work after a function
         # Register-file views of the outage path. ``reload[i]`` is what
         # register i holds after its contents are lost: its input-buffer
         # value if it is externally bound, the sentinel otherwise, masked to
         # its width.
-        self.reload = reload
-        self.written = written          # register indices each function writes
-        self.results = results          # result register indices per function
-        self.final_regs = final_regs    # (name, index) of every result register
-        self.reg_slices = reg_slices    # (register index, SLICE mask) if placed
-        self.brams = brams              # BRAMs per policy
-        self.start = start              # before the first cycle
-        self.first_completion = first_completion    # position of the first completion
+        "reload",
+        "written",          # register indices each function writes
+        "results",          # result register indices per function
+        "final_regs",       # (name, index) of every result register
+        "reg_slices",       # (register index, SLICE mask) if placed
+        "brams",            # BRAMs per policy
+        "start",            # before the first cycle
+        "first_completion",     # position of the first completion
         # ``start`` and the state after each function completion, by
-        # position; built by the first ``run``.
-        self.states = states
+        # position; None until the first ``run`` builds it.
+        "states")
 
 
 def makespan(program: ScheduledProgram) -> int:
@@ -314,13 +293,16 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
                    for reg, i in reg_index.items())
     results = {f.id: tuple(reg_index[reg] for reg in sorted(f.result_regs))
                for f in program.functions}
+    grid_slices = config.grid[0] * config.grid[1]
     return Prepared(
-        program=program, config=config, specs=specs,
+        program=program, specs=specs,
         live_tables=live_tables, placement=placement, table=table,
         compiled=compiled,
         reference=execute_reference(program),
         total_cycles=makespan(program),
-        result_ffs=sum(compiled.widths[i] for rs in results.values() for i in rs),
+        cp_stores=(sum(compiled.widths[i] for rs in results.values() for i in rs),
+                   sum(map(len, results.values()))),
+        fullchip_stores=(grid_slices * config.ffs_per_slice, grid_slices),
         order=order,
         preds={fid: program.predecessors(fid) for fid in regions}, succs=succs,
         after=after, reload=reload,
@@ -335,7 +317,8 @@ def prepare(program: ScheduledProgram, config: Optional[SimConfig] = None) -> Pr
                        trackers=trk.make_trackers(specs), running=(),
                        done=(), candidates=order),
         first_completion=min((specs[fid].max_cycles for fid in program.entry_ids),
-                             default=0))
+                             default=0),
+        states=None)
 
 
 def gen_trace(total_cycles: int, outages: int, seed: int) -> PowerTrace:
@@ -432,7 +415,6 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     outage and then finishes with straight kernel calls; given
     ``states``, steps from event to event to the end and appends the
     state after each completion to it."""
-    cfg = prep.config
     name = policy.name
     reload = prep.reload
     preds = prep.preds
@@ -444,12 +426,7 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     trackers = dict(state.trackers)
     running = {fid: trackers[fid] for fid in state.running}
     position = wall = state.position
-    ff_stores = 0
-    slice_events = 0
-    store_cost = 0
-    rollbacks: List[int] = []
     outages: List[OutageRecord] = []
-    grid_slices = cfg.grid[0] * cfg.grid[1]
     # dft: [FFs stored, SLICEs stored, lost register indices, restore plan]
     # per outage key, i.e. per (emitted statuses of the running trackers,
     # finished functions); both sets change only at events, so keys
@@ -534,15 +511,10 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
                 ff_here, slices_here = hit[0], hit[1]
                 regs = apply_plan(plan, regs, reload)
             else:  # fullchip
-                ff_here = grid_slices * cfg.ffs_per_slice
-                slices_here = grid_slices
-            store_cost += slices_here
+                ff_here, slices_here = prep.fullchip_stores
             running, rolled = trk.restore(running, boundary, prep.live_tables)
             # max with a default is several times slower for one tracker
             rollback = max(rolled.values()) if rolled else 0
-        ff_stores += ff_here
-        slice_events += slices_here
-        rollbacks.append(rollback)
         outages.append(OutageRecord(point, rollback, ff_here, slices_here))
         longest = 0     # the longest path of work still to do
         for fid, tr in running.items():
@@ -567,14 +539,13 @@ def _execute(prep: Prepared, policy: Policy, trace: PowerTrace, state: RunState,
     if name == CP:
         # every function completes once per run, and its checkpoint fires
         # then, power or not
-        ff_stores = prep.result_ffs
-        store_cost = sum(map(len, prep.results.values()))
+        ff_stores, store_cost = prep.cp_stores
+    else:
+        ff_stores = sum(o.ff_stored for o in outages)
+        store_cost = sum(o.slices_stored for o in outages)
     return SimulationReport(
-        policy=name, trace=trace,
-        total_rollback=sum(rollbacks), per_outage_rollback=tuple(rollbacks),
-        ff_stores=ff_stores, bram_count=prep.brams[name],
-        slice_store_events=slice_events, store_cost_cycles=store_cost,
-        wall_progress_cycles=wall,
+        policy=name, trace=trace, ff_stores=ff_stores, bram_count=prep.brams[name],
+        store_cost_cycles=store_cost, wall_progress_cycles=wall,
         final_state={reg: regs[i] for reg, i in prep.final_regs},
         reference_state=prep.reference, outages=tuple(outages))
 

@@ -54,13 +54,35 @@ class UnboundLiveInError(ProgramError):
 
 
 class Record:
-    """Base of the ``__slots__`` records: ``==``, ``hash`` and ``repr`` by
-    the fields that ``__slots__`` names, in order, as a dataclass has them,
-    and ``_replace`` as a ``NamedTuple`` has it. The methods read
-    ``__slots__`` when they are called, so a record class generates no
-    code. A record with an unhashable field is unhashable."""
+    """Base of the ``__slots__`` records: ``__init__``, ``==``, ``hash``
+    and ``repr`` by the fields that ``__slots__`` names, in order, as a
+    dataclass has them, and ``_replace`` as a ``NamedTuple`` has it. The
+    methods read ``__slots__`` when they are called, so a record class
+    generates no code. A record with an unhashable field is unhashable.
+
+    ``__init__`` takes every field exactly once, by position or by
+    keyword, and has no defaults. It costs several times a hand-written
+    one, so records built per segment, outage or run
+    (``tracker.TrackerState``, ``powersim.OutageRecord``,
+    ``powersim.SimulationReport``) write their own, as do the records
+    that check or default their fields (``powersim.PowerTrace``,
+    ``powersim.Policy``, ``powersim.SimConfig``)."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self).__qualname__, self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls} takes {len(names)} fields, got {len(args)} positional")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            if name not in names:
+                raise TypeError(f"{cls} has no field '{name}'")
+            if hasattr(self, name):     # its slot is set already
+                raise TypeError(f"{cls} got field '{name}' twice")
+            setattr(self, name, value)
+        missing = [name for name in names if not hasattr(self, name)]
+        if missing:
+            raise TypeError(f"{cls} is missing {', '.join(map(repr, missing))}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -332,7 +332,9 @@ def test_compare_prepares_each_source_once(tmp_path, monkeypatch):
     assert len(calls) == len(set(calls)) == 9
 
 
-def test_programs_with_the_same_stem_get_their_own_rows(tmp_path):
+def test_programs_with_the_same_stem_are_refused(tmp_path, capsys):
+    # their rows would carry the same benchmark name, and their runs the
+    # same trace seeds
     longer = ScheduledProgram(
         functions=(FunctionSchedule(id="g", regions=(loop("b1", "acc", 40),),
                                     result_regs=frozenset(["acc"])),),
@@ -349,15 +351,34 @@ def test_programs_with_the_same_stem_get_their_own_rows(tmp_path):
                 "--out", str(out)]
         for path in programs:
             argv += ["--program", str(path)]
-        assert cli.main(argv) == cli.EXIT_OK
+        if cli.main(argv) != cli.EXIT_OK:
+            assert not out.exists()
+            return None
         return (out / "rollback.csv").read_text().splitlines()[1:]
 
     alone = [rows(path) for path in paths]
     assert alone[0] != alone[1]
-    assert rows(*paths) == alone[0] + alone[1]
+    capsys.readouterr()
+    assert rows(*paths) is None
+    assert capsys.readouterr().err == (f"benchmark name 'prog' is given twice, by "
+                                       f"--program {paths[0]} and --program {paths[1]}\n")
     # a program file rewritten between two runs in one process is read again
     paths[0].write_text(paths[1].read_text())
     assert rows(paths[0]) == alone[1]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--preset", "global", "--preset", "global", "--policy", "dft", "--policy", "dft"],
+     "benchmark name 'global' is given twice, by --preset global and --preset global"),
+    (["--preset", "global", "--policy", "dft", "--policy", "cp", "--policy", "dft"],
+     "--policy dft is given twice"),
+], ids=("preset", "policy"))
+def test_a_repeated_source_or_policy_exits_config(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["compare", *argv, "--rounds", "1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
 
 
 def one_loop_doc(iterations, body_length, n_results):

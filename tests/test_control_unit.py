@@ -26,10 +26,7 @@ def small_table():
     region sits at x = 300, which needs both bytes of a u16."""
     return ControlUnitTable(
         tracker_region=at(300, 2),
-        offsets={"f": 0},
-        rows=(0, at(0, 0) | at(1, 0), at(1, 0)),
-        status_rows={"f": 1},
-        result_rows={"f": 2},
+        blocks={"f": (0, at(0, 0) | at(1, 0), at(1, 0))},
         table_width=4,
         grid_w=GRID_W)
 
@@ -115,7 +112,7 @@ def test_store_set_rejects_a_corrupt_status(status):
     prep = powersim.prepare(transform.normalize(benchgen.preset_program("float")))
     fid = prep.order[0]
     if status == "past":
-        status = prep.table.status_rows[fid] + 1
+        status = len(prep.table.blocks[fid]) - 1
     with pytest.raises(ControlUnitError, match=f"corrupt status {status} for {fid}"):
         powersim.store_set(prep, {fid: status}, ())
 

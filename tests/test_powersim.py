@@ -175,7 +175,7 @@ def test_corrupt_status_raises_on_a_repeated_key(fork_join, monkeypatch):
         seen.append(dict(out))
         if len(seen) == 5:
             assert seen[4] == seen[0] == {"A": 2}
-            out["A"] = fork_join.table.status_rows["A"] + 1
+            out["A"] = len(fork_join.table.blocks["A"]) - 1
         return out
 
     monkeypatch.setattr(trk, "snapshot", corrupting)

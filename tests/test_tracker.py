@@ -7,12 +7,14 @@ tracker's hardware does; after every segment both must agree on the
 counters and on the boundary status.
 """
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dftsim import powersim, tracker as trk
 from dftsim.liveness import TRACKED, LiveSetTable, TrackerSpec, live_sets
-from dftsim.program import FunctionSchedule, Operation, Region
+from dftsim.program import FunctionSchedule, Operation, Record, Region
 from programs import fork_join_program
 
 
@@ -132,6 +134,36 @@ def test_tracker_values_compare_and_hash_by_their_fields():
                            "running=('f',), done=(), candidates=())")
     with pytest.raises(TypeError):
         hash(state)     # its tracker dict is unhashable
+
+
+def built_records():
+    """One record of each class that takes ``Record.__init__``."""
+    prep = powersim.prepare(fork_join_program())
+    return [prep, prep.start, prep.table, prep.live_tables["A"], prep.specs["A"]]
+
+
+@pytest.mark.parametrize("index", range(5), ids=(
+    "Prepared", "RunState", "ControlUnitTable", "LiveSetTable", "TrackerSpec"))
+def test_the_record_init_takes_every_field_once(index):
+    record = built_records()[index]
+    cls, names = type(record), record.__slots__
+    assert cls.__init__ is Record.__init__
+    values = [getattr(record, name) for name in names]
+    half = len(names) // 2
+    assert cls(*values) == record
+    assert cls(**dict(zip(names, values))) == record
+    assert cls(*values[:half], **dict(zip(names[half:], values[half:]))) == record
+    for args, kwargs, says in (
+            (values[:-1], {}, f"{cls.__qualname__} is missing '{names[-1]}'"),
+            (values, {"extra": 1}, f"{cls.__qualname__} has no field 'extra'"),
+            (values, {names[0]: values[0]}, f"{cls.__qualname__} got field '{names[0]}' twice"),
+            ([*values, 1], {}, f"{cls.__qualname__} takes {len(names)} fields")):
+        with pytest.raises(TypeError, match=re.escape(says)):
+            cls(*args, **kwargs)
+    assert record._replace() == record
+    changed = record._replace(**{names[-1]: "other"})
+    assert getattr(changed, names[-1]) == "other" and changed != record
+    assert changed._replace(**{names[-1]: values[-1]}) == record
 
 
 @pytest.mark.parametrize("status", [-1, -4, 5])
